@@ -1,17 +1,22 @@
 """Automorphism groups of colored digraphs by individualization-refinement.
 
-The engine iterates color refinement (vertices split by the multiset of
-(direction, edge color, neighbor class) over their incident edges) until
-stable, then backtracks: pick a pivot vertex in a non-singleton class,
-branch over the candidate images in the matching class, re-refine, and
-recurse.  The branch that always maps the pivot to itself plays the role
-of a stabilizer chain: alternatives tried at depth d yield generators
-fixing the first d base points, orbits of the found generators prune
-redundant branches, and the group order is the product of the base-point
-orbit sizes.  Every map emitted by the search is explicitly checked
-against the edge set, so refinement is a pruning device, never a source
-of truth.  A factorial-time oracle over all vertex bijections is provided
-for cross-validation on small graphs.
+One routine, ``_refine``, does all color refinement: it splits vertices by
+the multiset of (direction, edge color, neighbor class) over their incident
+edges until stable, and records a trace, one entry per round (class sizes
+and a hash of the sorted class signatures).  The search individualizes a
+vertex and refines again.  The left digraph always individualizes the
+smallest vertex of a non-singleton class, so its refinements form a single
+path down to a discrete leaf, computed once.  The right digraph branches
+over the candidate images of each base point and is refined against the
+left path's trace, abandoning a branch at the first round that differs.
+In automorphism mode the left path is the identity branch: alternatives
+tried at depth d yield generators fixing the first d base points, orbits
+of the found generators prune redundant branches, and the group order is
+the product of the base-point orbit sizes.  Every map emitted by the
+search is explicitly checked against the edge set and the seed coloring,
+so refinement is a pruning device, never a source of truth.  A
+factorial-time oracle over all vertex bijections is provided for
+cross-validation on small graphs.
 
 Everything here is deterministic: pivots are the smallest eligible vertex
 indices, candidates are tried in index order, and reported generators are
@@ -62,12 +67,6 @@ def hasse_digraph(p: Poset) -> ColoredDigraph:
 # -- refinement --------------------------------------------------------
 
 
-def _normalize_joint(keys_a: list, keys_b: list) -> tuple[list[int], list[int], int]:
-    combined = sorted(set(keys_a) | set(keys_b))
-    ids = {k: i for i, k in enumerate(combined)}
-    return [ids[k] for k in keys_a], [ids[k] for k in keys_b], len(combined)
-
-
 def _signatures(inc, colors: list[int]) -> list:
     return [
         (colors[v], tuple(sorted((d, c, colors[w]) for d, c, w in inc[v])))
@@ -75,32 +74,37 @@ def _signatures(inc, colors: list[int]) -> list:
     ]
 
 
-def _class_counts(colors: list[int]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+def _refine(inc, keys: list, target: list | None = None):
+    """Stable coloring of one digraph from seed keys, with its trace.
 
-
-def _joint_refine(inc_a, inc_b, keys_a: list, keys_b: list):
-    """Refine two colorings in lockstep with a shared class numbering.
-
-    Returns (colors_a, colors_b) once stable, or None as soon as the
-    per-class vertex counts of the two sides disagree (no bijection can
-    respect such colorings).
+    Class ids are the ranks of the sorted distinct signatures.  Each round
+    appends (class sizes, hash of the sorted signatures) to the trace, up
+    to the round that is discrete or splits nothing; isomorphic inputs give
+    equal traces.  Returns (colors, trace), or None at the first round
+    whose entry differs from ``target``'s.
     """
-    col_a, col_b, n_classes = _normalize_joint(keys_a, keys_b)
+    trace: list = []
     while True:
-        if _class_counts(col_a) != _class_counts(col_b):
+        distinct = sorted(set(keys))
+        rank = {k: i for i, k in enumerate(distinct)}
+        colors = [rank[k] for k in keys]
+        sizes = [0] * len(distinct)
+        for c in colors:
+            sizes[c] += 1
+        entry = (tuple(sizes), hash(tuple(distinct)))
+        if target is not None and target[len(trace)] != entry:
             return None
-        if n_classes == len(col_a):
-            return col_a, col_b
-        new_a, new_b, new_count = _normalize_joint(
-            _signatures(inc_a, col_a), _signatures(inc_b, col_b)
-        )
-        if new_count == n_classes:
-            return (col_a, col_b) if _class_counts(col_a) == _class_counts(col_b) else None
-        col_a, col_b, n_classes = new_a, new_b, new_count
+        trace.append(entry)
+        # signatures lead with the old class, so an equal count is stable
+        if len(sizes) == len(colors) or (
+            len(trace) > 1 and len(sizes) == len(trace[-2][0])
+        ):
+            return colors, trace
+        keys = _signatures(inc, colors)
+
+
+def _individualize(colors: list[int], v: int) -> list:
+    return [(c, i == v) for i, c in enumerate(colors)]
 
 
 def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
@@ -116,8 +120,7 @@ def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
         if missing:
             raise ValueError(f"seed coloring misses vertices: {missing[:3]!r}")
         keys = [seed[v] for v in d.vertices]
-    refined = _joint_refine(d._incidence, d._incidence, keys, keys)
-    colors = refined[0]
+    colors, _ = _refine(d._incidence, keys)
     return Refinement(vertex_class=dict(zip(d.vertices, colors)))
 
 
@@ -125,109 +128,92 @@ def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
 
 
 class _PairSearch:
-    """Isomorphism / automorphism search between two colored digraphs."""
+    """Isomorphism / automorphism search between two colored digraphs.
+
+    ``root`` is the right side's refinement against the left's, or None
+    when no bijection can exist.  Otherwise ``path[d]`` is the left side's
+    (colors, trace) after individualizing ``base[:d]``, and ``path[-1]``
+    is discrete.
+    """
 
     def __init__(self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None):
-        self.a = a
-        self.b = b
         self.n = len(a.vertices)
-        self.inc_a = a._incidence
         self.inc_b = b._incidence
         self.edges_a = a._edge_indices
         self.edges_b = b._edge_indices
-        keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
-        keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
-        self.compatible = (
-            self.n == len(b.vertices) and len(self.edges_a) == len(self.edges_b)
-        )
+        self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
+        self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
+        compatible = self.n == len(b.vertices) and len(self.edges_a) == len(self.edges_b)
+        self.base: list[int] = []
+        self.path = [_refine(a._incidence, self.keys_a)]
         self.root = (
-            _joint_refine(self.inc_a, self.inc_b, keys_a, keys_b)
-            if self.compatible
-            else None
+            _refine(self.inc_b, self.keys_b, self.path[0][1]) if compatible else None
         )
+        while self.root is not None and (v := self._pivot(*self.path[-1])) is not None:
+            self.base.append(v)
+            self.path.append(
+                _refine(a._incidence, _individualize(self.path[-1][0], v))
+            )
 
-    # base coloring helpers
-
-    def _pivot(self, col_a: list[int]) -> int | None:
-        counts = _class_counts(col_a)
-        for v in range(self.n):
-            if counts[col_a[v]] > 1:
+    @staticmethod
+    def _pivot(colors: list[int], trace: list) -> int | None:
+        sizes = trace[-1][0]
+        for v, c in enumerate(colors):
+            if sizes[c] > 1:
                 return v
         return None
 
-    def _descend(self, col_a, col_b, v: int, w: int):
-        marked_a = [(c, 1 if i == v else 0) for i, c in enumerate(col_a)]
-        marked_b = [(c, 1 if i == w else 0) for i, c in enumerate(col_b)]
-        return _joint_refine(self.inc_a, self.inc_b, marked_a, marked_b)
-
-    def _extract(self, col_a, col_b) -> VertexPerm | None:
+    def _extract(self, col_b: list[int]) -> VertexPerm | None:
         where_b = {c: i for i, c in enumerate(col_b)}
-        sigma = tuple(where_b[c] for c in col_a)
+        if len(where_b) != self.n:
+            return None
+        sigma = tuple(where_b[c] for c in self.path[-1][0])
         for s, t, c in self.edges_a:
             if (sigma[s], sigma[t], c) not in self.edges_b:
                 return None
-        # accepted maps must respect the root refinement classes
-        root_a, root_b = self.root
-        assert all(root_a[v] == root_b[sigma[v]] for v in range(self.n))
+        if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
+            return None
         return sigma
 
-    def _find(self, col_a, col_b) -> VertexPerm | None:
-        v = self._pivot(col_a)
-        if v is None:
-            return self._extract(col_a, col_b)
-        cls = col_a[v]
+    def _branch(self, depth: int, col_b: list[int], w: int) -> VertexPerm | None:
+        """Map base[depth] to w on the right side, then complete the map."""
+        nxt = _refine(self.inc_b, _individualize(col_b, w), self.path[depth + 1][1])
+        return None if nxt is None else self._find(depth + 1, nxt[0])
+
+    def _find(self, depth: int, col_b: list[int]) -> VertexPerm | None:
+        if depth == len(self.base):
+            return self._extract(col_b)
+        cls = self.path[depth][0][self.base[depth]]
         for w in range(self.n):
-            if col_b[w] != cls:
-                continue
-            nxt = self._descend(col_a, col_b, v, w)
-            if nxt is None:
-                continue
-            sigma = self._find(*nxt)
-            if sigma is not None:
-                return sigma
+            if col_b[w] == cls:
+                sigma = self._branch(depth, col_b, w)
+                if sigma is not None:
+                    return sigma
         return None
 
     def find_isomorphism(self) -> VertexPerm | None:
         if self.root is None:
             return None
-        return self._find(*self.root)
+        return self._find(0, self.root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
 
     def automorphism_group(self) -> AutGroup:
-        self.base: list[int] = []
-        self.gens_by_level: list[list[VertexPerm]] = []
-        if self.root is not None:
-            self._spine(*self.root)
+        self.gens_by_level: list[list[VertexPerm]] = [[] for _ in self.base]
+        for depth in reversed(range(len(self.base))):
+            v = self.base[depth]
+            colors = self.path[depth][0]
+            for w in range(self.n):
+                if w == v or colors[w] != colors[v] or w in self._orbit(v, depth):
+                    continue
+                sigma = self._branch(depth, colors, w)
+                if sigma is not None:
+                    self.gens_by_level[depth].append(sigma)
         order = 1
         for depth, v in enumerate(self.base):
             order *= len(self._orbit(v, depth))
         gens = sorted(g for level in self.gens_by_level for g in level)
         return AutGroup(generators=tuple(gens), order=order)
-
-    def _spine(self, col_a, col_b) -> None:
-        v = self._pivot(col_a)
-        if v is None:
-            sigma = self._extract(col_a, col_b)
-            # the all-pivots-fixed leaf is the identity; it must verify
-            assert sigma is not None
-            return
-        depth = len(self.base)
-        self.base.append(v)
-        self.gens_by_level.append([])
-        cls = col_a[v]
-        self._spine(*self._descend(col_a, col_b, v, v))
-        for w in range(self.n):
-            if w == v or col_b[w] != cls:
-                continue
-            if w in self._orbit(v, depth):
-                continue
-            nxt = self._descend(col_a, col_b, v, w)
-            if nxt is None:
-                continue
-            sigma = self._find(*nxt)
-            if sigma is not None:
-                self.gens_by_level[depth].append(sigma)
 
     def _orbit(self, v: int, depth: int) -> set[int]:
         gens = [g for level in self.gens_by_level[depth:] for g in level]

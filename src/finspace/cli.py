@@ -31,6 +31,7 @@ from .digraph import (
 from .groups import (
     FiniteGroup,
     cayley_graph,
+    cycle_name,
     cyclic,
     dihedral,
     group_from_permutations,
@@ -93,22 +94,6 @@ def _level_sizes(p: Poset) -> dict[int, int]:
         lvl = level_of(p, x)
         sizes[lvl] = sizes.get(lvl, 0) + 1
     return dict(sorted(sizes.items()))
-
-
-def _perm_cycles(perm: tuple[int, ...], names: tuple[str, ...]) -> str:
-    seen: set[int] = set()
-    parts = []
-    for i in range(len(perm)):
-        if i in seen or perm[i] == i:
-            continue
-        cyc = [i]
-        j = perm[i]
-        while j != i:
-            seen.add(j)
-            cyc.append(j)
-            j = perm[j]
-        parts.append("(" + " ".join(names[v] for v in cyc) + ")")
-    return "".join(parts) if parts else "()"
 
 
 # -- subcommands --------------------------------------------------------
@@ -204,7 +189,7 @@ def _cmd_aut(args) -> int:
     if group.generators:
         print("generators:")
         for g in group.generators:
-            print(f"  {_perm_cycles(g, digraph.vertices)}")
+            print(f"  {cycle_name(g, digraph.vertices)}")
     else:
         print("generators: none (identity only)")
     return 0

@@ -33,8 +33,13 @@ def _is_perm(p) -> bool:
     )
 
 
-def cycle_name(p: Perm) -> str:
-    """Canonical cycle-notation name; the identity is named "e"."""
+def cycle_name(p: Perm, names=None) -> str:
+    """Canonical cycle-notation name; the identity is named "e".
+
+    Points print as their indices, or as ``names[i]`` when names are given.
+    """
+    if names is None:
+        names = range(len(p))
     seen: set[int] = set()
     parts = []
     for i in range(len(p)):
@@ -46,7 +51,7 @@ def cycle_name(p: Perm) -> str:
             seen.add(j)
             cyc.append(j)
             j = p[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
+        parts.append("(" + " ".join(str(names[v]) for v in cyc) + ")")
     return "".join(parts) if parts else "e"
 
 

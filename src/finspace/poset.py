@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from .digraph import _quote
+
 Cover = tuple[str, str]
 
 
@@ -286,10 +288,6 @@ def poset_from_json(text: str) -> Poset:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed poset JSON: {exc}") from exc
     return poset_from_json_dict(data)
-
-
-def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def poset_to_dot(p: Poset, name: str = "poset") -> str:

@@ -1,9 +1,10 @@
-"""Shared generators for randomized and property-based tests.
+"""Shared generators and references for randomized and property-based tests.
 
 Random posets are built independently of the library internals: draw a
 strict order on indices 0..n-1 (edges only point upward, so acyclicity is
 free), close it transitively with plain set arithmetic, and keep the
-pairs not implied by any two-step path.
+pairs not implied by any two-step path.  ``reference_refine`` is plain
+color refinement, kept as the reference the engine's refinement must match.
 """
 
 from __future__ import annotations
@@ -91,3 +92,44 @@ def posets(draw, max_points: int = 10) -> Poset:
     else:
         chosen = []
     return poset_from_index_pairs(n, set(chosen))
+
+
+@st.composite
+def seeded_digraphs(draw, max_vertices: int = 8):
+    """A colored digraph (edge colors 1..3) with a seed coloring (0..2)."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    colors = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    edges = [
+        (names[i], names[j], colors[i * n + j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and colors[i * n + j]
+    ]
+    seeds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return make_digraph(names, edges), dict(zip(names, seeds))
+
+
+def reference_refine(d: ColoredDigraph, seed: dict | None = None) -> dict[str, int]:
+    """Plain color refinement: re-sign every vertex each round until stable.
+
+    A vertex's signature is its class plus the sorted (direction, edge
+    color, neighbor class) triples of its edges, direction 0 for out-edges
+    and 1 for in-edges.  Class ids are ranks of the sorted signatures.
+    """
+    incident: dict[str, list] = {v: [] for v in d.vertices}
+    for s, t, c in d.edges:
+        incident[s].append((0, c, t))
+        incident[t].append((1, c, s))
+    keys = {v: 0 if seed is None else seed[v] for v in d.vertices}
+    n_classes = -1
+    while True:
+        rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+        colors = {v: rank[k] for v, k in keys.items()}
+        if len(rank) == n_classes:
+            return colors
+        n_classes = len(rank)
+        keys = {
+            v: (colors[v], tuple(sorted((dr, c, colors[w]) for dr, c, w in incident[v])))
+            for v in d.vertices
+        }

@@ -1,8 +1,11 @@
+import importlib
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given
 
-from conftest import random_colored_digraph
+from conftest import random_colored_digraph, reference_refine, seeded_digraphs
 from finspace import (
     asymmetric_block,
     automorphisms,
@@ -110,6 +113,13 @@ def test_refine_classes_are_equitable():
                     assert signature[idx[v]] == signature[idx[w]]
 
 
+@given(seeded_digraphs())
+def test_refine_matches_reference(case):
+    d, seed = case
+    assert refine(d, seed).vertex_class == reference_refine(d, seed)
+    assert refine(d).vertex_class == reference_refine(d)
+
+
 # -- automorphisms vs oracle ---------------------------------------------
 
 
@@ -194,6 +204,58 @@ def test_isomorphism_between_respects_colors():
     one = make_digraph(["a", "b"], [("a", "b", 1)])
     other = make_digraph(["a", "b"], [("a", "b", 2)])
     assert isomorphism_between(one, other) is None
+
+
+def _carries(mapping, a, b, seed_a, seed_b) -> bool:
+    """The map sends a's edges onto b's and keeps every seed value."""
+    return {(mapping[s], mapping[t], c) for s, t, c in a.edges} == b.edges and all(
+        seed_a[v] == seed_b[mapping[v]] for v in a.vertices
+    )
+
+
+def _brute_isomorphic(a, b, seed_a, seed_b) -> bool:
+    return any(
+        _carries(dict(zip(a.vertices, (b.vertices[i] for i in sigma))), a, b, seed_a, seed_b)
+        for sigma in permutations(range(len(a.vertices)))
+    )
+
+
+def test_refinement_only_prunes(monkeypatch):
+    """With every trace comparison passing, answers come from leaf checks."""
+    engine = importlib.import_module("finspace.automorphisms")
+    unchecked = engine._refine
+    monkeypatch.setattr(
+        engine, "_refine", lambda inc, keys, target=None: unchecked(inc, keys)
+    )
+    rng = random.Random(271_828)
+    for _ in range(40):
+        a = random_colored_digraph(rng, max_vertices=6)
+        assert automorphisms(a).order == brute_force_automorphisms(a).order
+
+        n = len(a.vertices)
+        image = list(range(n))
+        rng.shuffle(image)
+        names = [f"w{i}" for i in range(n)]
+        rename = {v: names[image[i]] for i, v in enumerate(a.vertices)}
+        b = make_digraph(names, [(rename[s], rename[t], c) for s, t, c in a.edges])
+        seed_a = {v: rng.randint(0, 2) for v in a.vertices}
+        seed_b = {rename[v]: k for v, k in seed_a.items()}
+        mapping = isomorphism_between(a, b, seed_a, seed_b)
+        assert mapping is not None and _carries(mapping, a, b, seed_a, seed_b)
+
+        # disjoint seed values forbid every bijection
+        shifted = {w: k + 3 for w, k in seed_b.items()}
+        assert isomorphism_between(a, b, seed_a, shifted) is None
+
+        # same seed values on shuffled vertices: often no bijection fits
+        shuffled = list(seed_b.values())
+        rng.shuffle(shuffled)
+        seed_b = dict(zip(seed_b, shuffled))
+        mapping = isomorphism_between(a, b, seed_a, seed_b)
+        if _brute_isomorphic(a, b, seed_a, seed_b):
+            assert mapping is not None and _carries(mapping, a, b, seed_a, seed_b)
+        else:
+            assert mapping is None
 
 
 # -- realization verification -------------------------------------------

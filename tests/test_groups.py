@@ -10,6 +10,7 @@ from finspace import (
     right_translation,
     symmetric,
 )
+from finspace.groups import cycle_name
 
 
 # -- enumeration from permutations -----------------------------------------
@@ -103,6 +104,12 @@ def test_symmetric_cycle_names():
     assert "e" in g.elements
     assert "(0 1)" in g.elements
     assert "(0 1 2)" in g.elements
+
+
+def test_cycle_name_with_point_names():
+    assert cycle_name((1, 2, 0, 3)) == "(0 1 2)"
+    assert cycle_name((1, 0, 3, 2), ("a", "b", "c", "d")) == "(a b)(c d)"
+    assert cycle_name((0, 1), ("a", "b")) == "e"
 
 
 def test_klein_four_element_orders():
