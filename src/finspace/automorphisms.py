@@ -3,20 +3,25 @@
 One routine, ``_refine``, does all color refinement: it splits vertices by
 the multiset of (direction, edge color, neighbor class) over their incident
 edges until stable, and records a trace, one entry per round (class sizes
-and a hash of the sorted class signatures).  The search individualizes a
-vertex and refines again.  The left digraph always individualizes the
-smallest vertex of a non-singleton class, so its refinements form a single
-path down to a discrete leaf, computed once.  The right digraph branches
-over the candidate images of each base point and is refined against the
-left path's trace, abandoning a branch at the first round that differs.
-In automorphism mode the left path is the identity branch: alternatives
-tried at depth d yield generators fixing the first d base points, orbits
-of the found generators prune redundant branches, and the group order is
-the product of the base-point orbit sizes.  Every map emitted by the
-search is explicitly checked against the edge set and the seed coloring,
-so refinement is a pruning device, never a source of truth.  A
-factorial-time oracle over all vertex bijections is provided for
-cross-validation on small graphs.
+and a hash of the sorted signatures of the classes re-signed that round).
+After the first round only the vertices next to a part split off in the
+previous round are re-signed, each split class's largest part excepted:
+the "process the smaller half" rule (Berkholz, Bonsma and Grohe, ESA 2013),
+which keeps the rounds and class ids of signing every vertex every round.
+
+The search individualizes a vertex and refines again.  The left digraph
+always individualizes the smallest vertex of a non-singleton class, so its
+refinements form a single path down to a discrete leaf, computed once.
+The right digraph branches over the candidate images of each base point
+and is refined against the left path's trace, abandoning a branch at the
+first round that differs.  In automorphism mode the left path is the
+identity branch: alternatives tried at depth d yield generators fixing the
+first d base points, orbits of the found generators prune redundant
+branches, and the group order is the product of the base-point orbit
+sizes.  Every map emitted by the search is explicitly checked against the
+edge set and the seed coloring, so refinement is a pruning device, never a
+source of truth.  A factorial-time oracle over all vertex bijections is
+provided for cross-validation on small graphs.
 
 Everything here is deterministic: pivots are the smallest eligible vertex
 indices, candidates are tried in index order, and reported generators are
@@ -67,40 +72,80 @@ def hasse_digraph(p: Poset) -> ColoredDigraph:
 # -- refinement --------------------------------------------------------
 
 
-def _signatures(inc, colors: list[int]) -> list:
-    return [
-        (colors[v], tuple(sorted((d, c, colors[w]) for d, c, w in inc[v])))
-        for v in range(len(colors))
-    ]
-
-
 def _refine(inc, keys: list, target: list | None = None):
     """Stable coloring of one digraph from seed keys, with its trace.
 
-    Class ids are the ranks of the sorted distinct signatures.  Each round
-    appends (class sizes, hash of the sorted signatures) to the trace, up
-    to the round that is discrete or splits nothing; isomorphic inputs give
-    equal traces.  Returns (colors, trace), or None at the first round
-    whose entry differs from ``target``'s.
+    Round 0 ranks the seed keys.  Each later round gives a vertex the
+    signature (its class, sorted (direction, edge color, neighbor class)
+    triples) and splits each class by rank of its members' signatures,
+    new ids following the old class order: exactly plain color refinement.
+    Round 1 signs every vertex.  Later rounds re-sign only the vertices
+    next to a part split off in the previous round, skipping each split
+    class's largest part: a vertex with no such neighbor has every
+    neighbor in a split class inside its largest part, so it keeps its
+    classmates' counts, and the untouched members of a class share the
+    signature of any one of them.
+
+    Each round appends (class sizes, hash of the sorted signatures of each
+    class with a re-signed member) to the trace, up to the round that is
+    discrete or splits nothing; isomorphic inputs give equal traces.  A
+    class re-signed without splitting still counts, so equal traces mean
+    equal class-to-class counts, as when every signature is hashed.
+    Returns (colors, trace), or None at the first round whose entry
+    differs from ``target``'s.
     """
+    distinct = sorted(set(keys))
+    rank = {k: i for i, k in enumerate(distinct)}
+    colors = [rank[k] for k in keys]
+    cells: list[list[int]] = [[] for _ in distinct]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    entry = (tuple(map(len, cells)), hash(tuple(distinct)))
     trace: list = []
+    dirty = range(len(colors))  # seed keys are not signatures
+
+    def sign(v: int) -> tuple:
+        return tuple(sorted((d, e, colors[w]) for d, e, w in inc[v]))
+
     while True:
-        distinct = sorted(set(keys))
-        rank = {k: i for i, k in enumerate(distinct)}
-        colors = [rank[k] for k in keys]
-        sizes = [0] * len(distinct)
-        for c in colors:
-            sizes[c] += 1
-        entry = (tuple(sizes), hash(tuple(distinct)))
         if target is not None and target[len(trace)] != entry:
             return None
         trace.append(entry)
-        # signatures lead with the old class, so an equal count is stable
-        if len(sizes) == len(colors) or (
-            len(trace) > 1 and len(sizes) == len(trace[-2][0])
+        # a round that splits no class leaves every signature as it was
+        if len(cells) == len(colors) or (
+            len(trace) > 1 and len(entry[0]) == len(trace[-2][0])
         ):
             return colors, trace
-        keys = _signatures(inc, colors)
+        touched: dict[int, list[int]] = {}
+        for v in dirty:
+            touched.setdefault(colors[v], []).append(v)
+        signed = []
+        split: dict[int, list[list[int]]] = {}
+        for c in sorted(touched):
+            parts: dict[tuple, list[int]] = {}
+            for v in touched[c]:
+                parts.setdefault(sign(v), []).append(v)
+            if len(touched[c]) < len(cells[c]):
+                marked = set(touched[c])
+                rest = [u for u in cells[c] if u not in marked]
+                parts.setdefault(sign(rest[0]), []).extend(rest)
+            order = sorted(parts)
+            signed.append((c, tuple(order)))
+            if len(order) > 1:
+                split[c] = [parts[sig] for sig in order]
+        for c in sorted(split, reverse=True):
+            cells[c : c + 1] = split[c]
+        for c in range(min(split, default=len(cells)), len(cells)):
+            for v in cells[c]:
+                colors[v] = c
+        entry = (tuple(map(len, cells)), hash(tuple(signed)))
+        dirty = set()
+        for parts in split.values():
+            largest = max(parts, key=len)  # the first by rank: relabelling-invariant
+            for part in parts:
+                if part is not largest:
+                    for v in part:
+                        dirty.update(w for _, _, w in inc[v])
 
 
 def _individualize(colors: list[int], v: int) -> list:

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_colored_digraph, reference_refine, seeded_digraphs
 from finspace import (
@@ -14,14 +15,21 @@ from finspace import (
     cayley_graph,
     cyclic,
     dihedral,
+    direct_product,
+    group_from_permutations,
     hasse_digraph,
+    isomorphic,
     isomorphism_between,
+    klein_four,
     level_of,
     make_digraph,
     make_poset,
     refine,
     verify_realization,
 )
+
+# the submodule, which the function of the same name hides from attribute access
+engine = importlib.import_module("finspace.automorphisms")
 
 TRIANGLE = make_digraph(
     ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)]
@@ -118,6 +126,56 @@ def test_refine_matches_reference(case):
     d, seed = case
     assert refine(d, seed).vertex_class == reference_refine(d, seed)
     assert refine(d).vertex_class == reference_refine(d)
+
+
+def _refine_relabelled(a, keys_a, pi):
+    """Refine a, then its copy relabelled by pi against a's trace; check classes.
+
+    Returns the check, to repeat it on other seed keys, and both root colorings.
+    """
+    n = len(a.vertices)
+    names = [f"w{i}" for i in range(n)]
+    rename = {v: names[pi[i]] for i, v in enumerate(a.vertices)}
+    b = make_digraph(names, [(rename[s], rename[t], c) for s, t, c in a.edges])
+
+    def check(keys_a, keys_b):
+        colors_a, trace = engine._refine(a._incidence, keys_a)
+        refined = engine._refine(b._incidence, keys_b, trace)
+        assert refined is not None
+        assert all(refined[0][pi[v]] == colors_a[v] for v in range(n))
+        return colors_a, refined[0]
+
+    keys_b = [None] * n
+    for v, k in enumerate(keys_a):
+        keys_b[pi[v]] = k
+    return check, check(keys_a, keys_b)
+
+
+def test_refine_matches_reference_over_many_rounds():
+    """Deep enough for skipping each split class's largest part to matter;
+    a shuffled copy follows the same trace to the same classes."""
+    d = hasse_digraph(build_realization(cyclic(12)).poset)
+    seed = {v: v == d.vertices[0] for v in d.vertices}
+    keys = [seed[v] for v in d.vertices]
+    _, trace = engine._refine(d._incidence, keys)
+    assert (len(d.vertices), len(trace)) == (528, 25)
+    assert refine(d, seed).vertex_class == reference_refine(d, seed)
+
+    pi = list(range(len(keys)))
+    random.Random(1_729).shuffle(pi)
+    _refine_relabelled(d, keys, pi)
+
+
+@given(seeded_digraphs(), st.data())
+def test_refine_trace_is_relabelling_invariant(case, data):
+    """A relabelled copy refines against the original's trace to the same classes,
+    at the root and after individualizing matching vertices."""
+    a, seed = case
+    pi = data.draw(st.permutations(range(len(a.vertices))))
+    keys = [seed[v] for v in a.vertices]
+    check, (colors_a, colors_b) = _refine_relabelled(a, keys, pi)
+    for v, w in enumerate(pi):
+        check(engine._individualize(colors_a, v), engine._individualize(colors_b, w))
 
 
 # -- automorphisms vs oracle ---------------------------------------------
@@ -256,6 +314,32 @@ def test_refinement_only_prunes(monkeypatch):
             assert mapping is not None and _carries(mapping, a, b, seed_a, seed_b)
         else:
             assert mapping is None
+
+
+def test_trace_pruning_reaches_no_leaf(monkeypatch):
+    """Non-isomorphic realization spaces are refuted by traces, not leaves."""
+    leaves = []
+    extract = engine._PairSearch._extract
+    monkeypatch.setattr(
+        engine._PairSearch,
+        "_extract",
+        lambda self, col_b: leaves.append(1) or extract(self, col_b),
+    )
+    c4 = group_from_permutations([[1, 2, 3, 0], [3, 0, 1, 2]])
+    c2c4 = direct_product(cyclic(2), cyclic(4))
+    for g, h in [(klein_four(), c4), (c2c4, dihedral(8))]:
+        a, b = build_realization(g).poset, build_realization(h).poset
+        assert len(a.points) == len(b.points)
+        assert isomorphic(a, b) is None
+    assert leaves == []
+
+    # same shape, different edge colors: the root refinement alone refutes
+    names = [f"v{i}" for i in range(6)]
+    steps = [(names[i], names[(i + 1) % 6], 1) for i in range(6)]
+    jumps = [(names[i], names[(i + 2) % 6]) for i in range(6)]
+    a = make_digraph(names, steps + [(s, t, 2) for s, t in jumps])
+    b = make_digraph(names, steps + [(s, t, 1) for s, t in jumps])
+    assert engine._PairSearch(a, b).root is None
 
 
 # -- realization verification -------------------------------------------
