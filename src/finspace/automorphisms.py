@@ -365,8 +365,9 @@ def verify_realization(
     """Certify that the realization space's automorphism group is the group.
 
     Three parts: (1) the space is minimal, so self-equivalences up to
-    homotopy are exactly Hasse-digraph automorphisms; (2) all |G| induced
-    right-translation maps verify as automorphisms and are pairwise
+    homotopy are exactly Hasse-digraph automorphisms; (2) each of the |G|
+    induced right-translation maps is checked on its own to be a bijection
+    carrying every cover onto a cover, and the |G| maps are pairwise
     distinct, giving an injective homomorphism from the group; (3) the
     search engine counts exactly |G| automorphisms in total.  Together:
     an injection between finite groups of equal order, an isomorphism.
@@ -384,17 +385,7 @@ def verify_realization(
 def _report_for(space: RealizationSpace) -> RealizationReport:
     group = space.group
     x = space.poset
-    point_pos = {p: i for i, p in enumerate(x.points)}
-    images = []
-    valid = 0
-    for h in range(group.order):
-        mapping = induced_translation(space, h)
-        image = tuple(point_pos[mapping[p]] for p in x.points)
-        if len(set(image)) == len(image) and all(
-            (mapping[a], mapping[b]) in x.covers for a, b in x.covers
-        ):
-            valid += 1
-        images.append(image)
+    valid, distinct = _check_translations(space)
     engine = automorphisms(hasse_digraph(x))
     return RealizationReport(
         group_order=group.order,
@@ -404,6 +395,32 @@ def _report_for(space: RealizationSpace) -> RealizationReport:
         inventory=tuple(space.block_inventory().items()),
         minimal=is_minimal(x),
         induced_valid=valid,
-        induced_distinct=len(set(images)) == group.order,
+        induced_distinct=distinct,
         engine_order=engine.order,
     )
+
+
+def _check_translations(space: RealizationSpace) -> tuple[int, bool]:
+    """Part 2 on point-index tuples: how many of the |G| induced maps are
+    bijections carrying every cover (as an index pair) onto a cover, and
+    whether the |G| maps are pairwise distinct.  Each map is checked on its
+    own; nothing assumes they form a homomorphism."""
+    x = space.poset
+    n = len(x.points)
+    every = set(range(n))
+    covers = {(x._index[a], x._index[b]) for a, b in x.covers}
+    srcs = [a for a, _ in covers]
+    dsts = [b for _, b in covers]
+    images = set()
+    valid = 0
+    for h in range(space.group.order):
+        image = induced_translation(space, h)
+        at = image.__getitem__
+        if (
+            len(image) == n
+            and set(image) == every
+            and covers.issuperset(zip(map(at, srcs), map(at, dsts)))
+        ):
+            valid += 1
+        images.add(image)
+    return valid, len(images) == space.group.order

@@ -9,9 +9,9 @@ g -> g * h act as color-preserving graph automorphisms.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .digraph import ColoredDigraph, make_digraph
 
@@ -22,7 +22,7 @@ Perm = tuple[int, ...]
 
 def _compose(p: Perm, q: Perm) -> Perm:
     """Product p*q: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _is_perm(p) -> bool:
@@ -61,9 +61,9 @@ class FiniteGroup:
 
     Invariants checked at construction: the table is a group operation
     (identity law, inverses via the latin-square property, associativity
-    exhaustively up to order 64 and on a fixed random sample above that),
-    the generators are distinct non-identity elements, and they generate
-    the whole group.
+    by Light's test on a generating set, exact at every order), the
+    generators are distinct non-identity elements, and they generate the
+    whole group.
     """
 
     elements: tuple[str, ...]
@@ -104,19 +104,25 @@ class FiniteGroup:
             raise ValueError("generators do not generate the group")
 
     def _check_associativity(self) -> None:
+        """Light's test: (x*s)*y = x*(s*y) for all x, y and each s of a
+        generating set.  The elements s passing it include e and are closed
+        under products, so it is exact once the set generates the table.
+        The set is the given generators that are in range and not e,
+        extended by the smallest unreached element until ``_closure``
+        covers the table."""
         n = len(self.elements)
         t = self.table
-        if n <= 64:
-            triples = product(range(n), repeat=3)
-        else:
-            rng = random.Random(0xA55)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(50_000)
-            )
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValueError("multiplication table is not associative")
+        seed = tuple(g for g in self.generators if 0 <= g < n and g != self.identity)
+        reached = self._closure(seed)
+        while len(reached) < n:
+            seed += (min(set(range(n)) - reached),)
+            reached = self._closure(seed)
+        for s in seed:
+            # row x -> (x*(s*y) for y); s is not e, so n >= 2 and rows are tuples
+            times_s = itemgetter(*t[s])
+            for x in range(n):
+                if t[t[x][s]] != times_s(t[x]):
+                    raise ValueError("multiplication table is not associative")
 
     def _closure(self, seed: tuple[int, ...]) -> set[int]:
         reached = {self.identity}

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import random_poset
 from finspace import (
     BlockPlan,
+    RealizationSpace,
     asymmetric_block,
     assemble,
     block_replace,
@@ -228,10 +230,56 @@ def test_second_story_blocks_attach_to_one_vertex_and_one_edge_block():
 
 def test_induced_translation_identity_and_shape():
     space = build_realization(cyclic(3))
-    ident = induced_translation(space, space.group.identity)
-    assert all(ident[p] == p for p in space.poset.points)
+    points = space.poset.points
+    pos = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    assert induced_translation(space, space.group.identity) == tuple(range(n))
     shifted = induced_translation(space, 1)
-    assert sorted(shifted.values()) == sorted(space.poset.points)
-    assert shifted["vert[e]/a/bot"] == "vert[x]/a/bot"
+    assert sorted(shifted) == list(range(n))
+    assert points[shifted[pos["vert[e]/a/bot"]]] == "vert[x]/a/bot"
     with pytest.raises(ValueError):
         induced_translation(space, 99)
+
+
+def _named_translation(space, h):
+    """x -> x*h by block names: block g of each slot to block g*h, same local."""
+    group = space.group
+    prefix = {"vertex": "vert", "edge": "edge", "start": "src", "end": "dst"}
+    out = {}
+    for point, info in space.provenance.items():
+        g = group.elements.index(info.element)
+        image = group.elements[group.table[g][h]]
+        colour = "" if info.color is None else info.color
+        out[point] = f"{prefix[info.kind]}{colour}[{image}]{point[len(info.block):]}"
+    return out
+
+
+@pytest.mark.parametrize("group", [cyclic(4), dihedral(6)], ids=["C4", "D6"])
+def test_induced_translation_matches_block_names(group):
+    space = build_realization(group)
+    points = space.poset.points
+    for h in range(group.order):
+        named = _named_translation(space, h)
+        image = induced_translation(space, h)
+        assert [points[i] for i in image] == [named[p] for p in points]
+
+
+def test_block_layout_rejects_broken_slots():
+    space = build_realization(cyclic(3))
+    points = space.poset.points
+    # two vertex blocks claiming the same element
+    bad = {
+        p: replace(info, element="e") if info.block == "vert[x]" else info
+        for p, info in space.provenance.items()
+    }
+    # a block whose points are not contiguous
+    split = make_poset(points[1:] + points[:1], space.poset.covers)
+    # a block listing its local names in another order than its slot
+    swapped = make_poset(points[1::-1] + points[2:], space.poset.covers)
+    for broken in (
+        RealizationSpace(space.poset, bad, space.group),
+        RealizationSpace(split, space.provenance, space.group),
+        RealizationSpace(swapped, space.provenance, space.group),
+    ):
+        with pytest.raises(ValueError, match="slot layout"):
+            induced_translation(broken, 1)

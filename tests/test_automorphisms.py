@@ -18,6 +18,7 @@ from finspace import (
     direct_product,
     group_from_permutations,
     hasse_digraph,
+    induced_translation,
     isomorphic,
     isomorphism_between,
     klein_four,
@@ -378,6 +379,53 @@ def test_verify_realization_cyclic3():
     assert report.engine_order == 3
     assert report.render().splitlines()[-1] == "order(Aut) = 3 = |G| : PASS"
     assert report.render() == verify_realization(cyclic(3)).render()
+
+
+def _swap_two(image, space):
+    image[0], image[1] = image[1], image[0]
+
+
+def _collapse_one(image, space):
+    """Send point p to q's image, where q is above and below all that p is:
+    every cover still lands on a cover, but the map is not injective."""
+    x = space.poset
+    p, q = next(
+        (p, q)
+        for p in range(len(image))
+        for q in range(len(image))
+        if p != q
+        and set(x._up[p]) <= set(x._up[q])
+        and set(x._down[p]) <= set(x._down[q])
+    )
+    image[p] = image[q]
+    covers = {(x._index[a], x._index[b]) for a, b in x.covers}
+    assert all((image[a], image[b]) in covers for a, b in covers)
+
+
+def _copy_other(image, space):
+    image[:] = induced_translation(space, 2)
+
+
+@pytest.mark.parametrize(
+    "mutate, valid, distinct",
+    [(_swap_two, 3, True), (_collapse_one, 3, True), (_copy_other, 4, False)],
+    ids=["swapped-pair", "repeated-entry", "image-of-other-h"],
+)
+def test_certificate_checks_every_translation(monkeypatch, mutate, valid, distinct):
+    """One broken map among the |G| induced translations fails part 2."""
+    honest = engine.induced_translation
+
+    def mutant(space, h):
+        image = list(honest(space, h))
+        if h == 1:
+            mutate(image, space)
+        return tuple(image)
+
+    monkeypatch.setattr(engine, "induced_translation", mutant)
+    report = verify_realization(cyclic(4))
+    assert report.induced_valid == valid
+    assert report.induced_distinct is distinct
+    assert report.engine_order == 4 and not report.passed
 
 
 def test_verify_realization_budget():

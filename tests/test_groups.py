@@ -271,3 +271,57 @@ def test_table_validation_catches_non_associative():
             identity=0,
             generators=(1,),
         )
+
+
+def test_table_validation_is_exact_above_order_64():
+    """An intercalate swap in Z66 keeps a latin square with identity but
+    breaks associativity at 1008 of the 287496 triples."""
+    from finspace import FiniteGroup
+
+    base = cyclic(66)
+    table = [list(row) for row in base.table]
+    # rows 1 and 34, columns 2 and 35 hold the 2x2 square [[3, 36], [36, 3]]
+    for r in (1, 34):
+        table[r][2], table[r][35] = table[r][35], table[r][2]
+    with pytest.raises(ValueError, match="associative"):
+        FiniteGroup(
+            elements=base.elements,
+            table=tuple(tuple(row) for row in table),
+            identity=0,
+            generators=(1,),
+        )
+
+
+def test_associativity_check_extends_non_generating_generators():
+    """In Z2 x M, with M the loop of test_table_validation_catches_non_associative,
+    (1, e) passes Light's test but does not generate; the check must go on
+    to elements outside its closure."""
+    from finspace import FiniteGroup
+
+    loop = (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    )
+    # element (a, m) has index 5 * a + m
+    table = tuple(
+        tuple(5 * ((a + b) % 2) + loop[m][k] for b in (0, 1) for k in range(5))
+        for a in (0, 1)
+        for m in range(5)
+    )
+    with pytest.raises(ValueError, match="associative"):
+        FiniteGroup(
+            elements=tuple(f"{a}{m}" for a in (0, 1) for m in range(5)),
+            table=table,
+            identity=0,
+            generators=(5,),
+        )
+
+
+def test_trivial_table_rejects_the_identity_as_generator():
+    from finspace import FiniteGroup
+
+    with pytest.raises(ValueError, match="identity is not allowed"):
+        FiniteGroup(elements=("e",), table=((0,),), identity=0, generators=(0,))

@@ -15,3 +15,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
+def test_no_random_imports():
+    """The certificate is exact: no check in the library is sampled."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(finspace.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if any(name.split(".")[0] == "random" for name in _imported_modules(node))
+    ]
+    assert offenders == []
