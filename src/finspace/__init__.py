@@ -18,25 +18,7 @@ from .assembly import (
     last_level,
     predicted_point_count,
 )
-from .automorphisms import (
-    AutGroup,
-    RealizationReport,
-    Refinement,
-    automorphisms,
-    brute_force_automorphisms,
-    hasse_digraph,
-    isomorphism_between,
-    refine,
-    verify_realization,
-)
-from .blocks import (
-    BlockSpec,
-    FamilyEntry,
-    FamilyReport,
-    asymmetric_block,
-    block_edge_count,
-    family_checks,
-)
+from .blocks import BlockSpec, asymmetric_block, block_edge_count
 from .digraph import (
     ColoredDigraph,
     digraph_from_json,
@@ -44,6 +26,21 @@ from .digraph import (
     digraph_to_json,
     make_digraph,
     strip_colors,
+)
+from .engine import (
+    AutGroup,
+    FamilyEntry,
+    FamilyReport,
+    RealizationReport,
+    Refinement,
+    automorphisms,
+    brute_force_automorphisms,
+    family_checks,
+    hasse_digraph,
+    isomorphic,
+    isomorphism_between,
+    refine,
+    verify_realization,
 )
 from .groups import (
     FiniteGroup,
@@ -63,7 +60,6 @@ from .poset import (
     core,
     hasse_degree,
     is_minimal,
-    isomorphic,
     level_of,
     make_poset,
     poset_from_json,

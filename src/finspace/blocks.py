@@ -12,13 +12,14 @@ These degree constraints leave no nontrivial self-map: points of degree
 above 2 are pinned by (level, degree), and a and b differ in the degrees
 of their neighbors, so the Hasse digraph of every block is asymmetric.
 No point has a unique cover in either direction, so each block is minimal.
+``engine.family_checks`` audits both claims with the search engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import Poset, is_minimal, make_poset
+from .poset import Poset, make_poset
 
 
 @dataclass(frozen=True)
@@ -79,95 +80,3 @@ def block_edge_count(k: int) -> int:
     """Closed form for the number of covering pairs in block k."""
     n = k + 4
     return n * (n + 1) // 2 + 1
-
-
-def _connected(p: Poset) -> bool:
-    if not p.points:
-        return True
-    neighbors: dict[str, set[str]] = {x: set() for x in p.points}
-    for x, y in p.covers:
-        neighbors[x].add(y)
-        neighbors[y].add(x)
-    seen = {p.points[0]}
-    stack = [p.points[0]]
-    while stack:
-        for other in neighbors[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(p.points)
-
-
-@dataclass(frozen=True)
-class FamilyEntry:
-    k: int
-    point_count: int
-    minimal: bool
-    asymmetric: bool
-    connected: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.point_count == 2 * self.k + 8
-            and self.minimal
-            and self.asymmetric
-            and self.connected
-        )
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    entries: tuple[FamilyEntry, ...]
-    sizes_pairwise_distinct: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.sizes_pairwise_distinct and all(e.passed for e in self.entries)
-
-    def render(self) -> str:
-        lines = []
-        for e in self.entries:
-            verdict = "PASS" if e.passed else "FAIL"
-            lines.append(
-                f"block {e.k}: points={e.point_count} "
-                f"minimal={'yes' if e.minimal else 'no'} "
-                f"asymmetric={'yes' if e.asymmetric else 'no'} "
-                f"connected={'yes' if e.connected else 'no'} : {verdict}"
-            )
-        lines.append(
-            "pairwise distinct sizes: "
-            + ("yes" if self.sizes_pairwise_distinct else "no")
-        )
-        lines.append("family check: " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines)
-
-
-def family_checks(k_max: int) -> FamilyReport:
-    """Check blocks 0..k_max: minimal, asymmetric, connected, sizes distinct.
-
-    Distinct point counts make the blocks pairwise non-homeomorphic, and
-    minimality upgrades that to pairwise inequivalence up to homotopy.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    from .automorphisms import automorphisms, hasse_digraph
-
-    entries = []
-    sizes = []
-    for k in range(k_max + 1):
-        block = asymmetric_block(k)
-        sizes.append(len(block.points))
-        entries.append(
-            FamilyEntry(
-                k=k,
-                point_count=len(block.points),
-                minimal=is_minimal(block),
-                asymmetric=automorphisms(hasse_digraph(block)).order == 1,
-                connected=_connected(block),
-            )
-        )
-    return FamilyReport(
-        entries=tuple(entries),
-        sizes_pairwise_distinct=len(set(sizes)) == len(sizes),
-    )

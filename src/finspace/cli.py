@@ -14,19 +14,20 @@ import json
 import sys
 
 from .assembly import build_realization
-from .automorphisms import (
-    ENGINE_POINT_BUDGET,
-    automorphisms,
-    brute_force_automorphisms,
-    hasse_digraph,
-    verify_realization,
-)
-from .blocks import asymmetric_block, family_checks
+from .blocks import asymmetric_block
 from .digraph import (
     digraph_from_json_dict,
     digraph_to_dot,
     digraph_to_json,
     strip_colors,
+)
+from .engine import (
+    ENGINE_POINT_BUDGET,
+    automorphisms,
+    brute_force_automorphisms,
+    family_checks,
+    hasse_digraph,
+    verify_realization,
 )
 from .groups import (
     FiniteGroup,

@@ -23,6 +23,10 @@ edge set and the seed coloring, so refinement is a pruning device, never a
 source of truth.  A factorial-time oracle over all vertex bijections is
 provided for cross-validation on small graphs.
 
+On top of the search: poset isomorphism (``isomorphic``), the realization
+certificate (``verify_realization``) and the block family audit
+(``family_checks``).  No module but the CLI imports this one.
+
 Everything here is deterministic: pivots are the smallest eligible vertex
 indices, candidates are tried in index order, and reported generators are
 sorted by image tuple.
@@ -39,9 +43,10 @@ from .assembly import (
     induced_translation,
     predicted_point_count,
 )
+from .blocks import asymmetric_block
 from .digraph import ColoredDigraph, make_digraph
 from .groups import FiniteGroup
-from .poset import Poset, is_minimal
+from .poset import Poset, is_minimal, level_of
 
 VertexPerm = tuple[int, ...]
 
@@ -315,6 +320,24 @@ def isomorphism_between(
     return {a.vertices[v]: b.vertices[sigma[v]] for v in range(len(a.vertices))}
 
 
+def isomorphic(p: Poset, q: Poset) -> dict[str, str] | None:
+    """A level- and cover-preserving bijection p -> q, or None.
+
+    Any cover-preserving digraph isomorphism preserves levels, so the
+    search runs over the Hasse digraphs seeded by (level, in, out) degree
+    triples.
+    """
+    if len(p.points) != len(q.points) or len(p.covers) != len(q.covers):
+        return None
+    if sorted(p._levels) != sorted(q._levels):
+        return None
+    seed_p = {x: (level_of(p, x), len(p._down[i]), len(p._up[i]))
+              for i, x in enumerate(p.points)}
+    seed_q = {x: (level_of(q, x), len(q._down[i]), len(q._up[i]))
+              for i, x in enumerate(q.points)}
+    return isomorphism_between(hasse_digraph(p), hasse_digraph(q), seed_p, seed_q)
+
+
 # -- end-to-end verification -------------------------------------------
 
 
@@ -424,3 +447,91 @@ def _check_translations(space: RealizationSpace) -> tuple[int, bool]:
             valid += 1
         images.add(image)
     return valid, len(images) == space.group.order
+
+
+# -- block family audit ----------------------------------------------
+
+
+def _connected(p: Poset) -> bool:
+    seen = {0} if p.points else set()
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        for j in p._up[i] + p._down[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(p.points)
+
+
+@dataclass(frozen=True)
+class FamilyEntry:
+    k: int
+    point_count: int
+    minimal: bool
+    asymmetric: bool
+    connected: bool
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.point_count == 2 * self.k + 8
+            and self.minimal
+            and self.asymmetric
+            and self.connected
+        )
+
+
+@dataclass(frozen=True)
+class FamilyReport:
+    entries: tuple[FamilyEntry, ...]
+    sizes_pairwise_distinct: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.sizes_pairwise_distinct and all(e.passed for e in self.entries)
+
+    def render(self) -> str:
+        lines = []
+        for e in self.entries:
+            verdict = "PASS" if e.passed else "FAIL"
+            lines.append(
+                f"block {e.k}: points={e.point_count} "
+                f"minimal={'yes' if e.minimal else 'no'} "
+                f"asymmetric={'yes' if e.asymmetric else 'no'} "
+                f"connected={'yes' if e.connected else 'no'} : {verdict}"
+            )
+        lines.append(
+            "pairwise distinct sizes: "
+            + ("yes" if self.sizes_pairwise_distinct else "no")
+        )
+        lines.append("family check: " + ("PASS" if self.passed else "FAIL"))
+        return "\n".join(lines)
+
+
+def family_checks(k_max: int) -> FamilyReport:
+    """Check blocks 0..k_max: minimal, asymmetric, connected, sizes distinct.
+
+    Distinct point counts make the blocks pairwise non-homeomorphic, and
+    minimality upgrades that to pairwise inequivalence up to homotopy.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    entries = []
+    sizes = []
+    for k in range(k_max + 1):
+        block = asymmetric_block(k)
+        sizes.append(len(block.points))
+        entries.append(
+            FamilyEntry(
+                k=k,
+                point_count=len(block.points),
+                minimal=is_minimal(block),
+                asymmetric=automorphisms(hasse_digraph(block)).order == 1,
+                connected=_connected(block),
+            )
+        )
+    return FamilyReport(
+        entries=tuple(entries),
+        sizes_pairwise_distinct=len(set(sizes)) == len(sizes),
+    )

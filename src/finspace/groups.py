@@ -4,7 +4,9 @@ A group is an ordered element list, a multiplication table over element
 indices, and a distinguished generator list.  The Cayley graph uses left
 multiplication: for each element g and each generator g_k there is one
 directed edge (g, g_k * g) carrying color k, so right translations
-g -> g * h act as color-preserving graph automorphisms.
+g -> g * h act as color-preserving graph automorphisms.  Groups given
+by permutations, the symmetric groups among them, are enumerated by one
+breadth-first closure that also derives their table.
 """
 
 from __future__ import annotations
@@ -86,11 +88,11 @@ class FiniteGroup:
             raise ValueError("identity index out of range")
         if any(self.table[e][j] != j or self.table[j][e] != j for j in range(n)):
             raise ValueError("identity law fails")
-        for i in range(n):
-            if sorted(self.table[i]) != list(range(n)):
-                raise ValueError("rows must be permutations (missing inverses)")
-            if sorted(self.table[j][i] for j in range(n)) != list(range(n)):
-                raise ValueError("columns must be permutations (missing inverses)")
+        # entries are in range, so n distinct ones are a permutation
+        if any(len(set(row)) != n for row in self.table):
+            raise ValueError("rows must be permutations (missing inverses)")
+        if any(len(set(col)) != n for col in zip(*self.table)):
+            raise ValueError("columns must be permutations (missing inverses)")
         self._check_associativity()
         if not self.generators:
             raise ValueError("a generating set is required")
@@ -159,16 +161,15 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, generators=[{gens}])"
 
 
-def group_from_permutations(
-    perm_generators, *, max_order: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
-    """Enumerate the group generated by permutations of {0..m-1}.
+def _enumerate(gens: list[Perm], max_order: int) -> tuple[list[Perm], list[str], tuple]:
+    """Permutations, word names and multiplication table of the group
+    generated by ``gens``, in breadth-first order from the identity.
 
-    Breadth-first closure over right multiplication; element names are the
-    shortest words in the generators, lexicographically least among the
-    shortest ("e", "g1", "g1*g2", ...).
+    Closure runs over right multiplication, so element k is the generator
+    g_k for k >= 1.  Each element y = x*g_k is found from an earlier x, so
+    its row is a permutation of x's row, y*z = x*(g_k*z): the table costs
+    |G|*|gens| compositions, not |G|^2.
     """
-    gens = [tuple(p) for p in perm_generators]
     if not gens:
         raise ValueError("at least one permutation generator is required")
     m = len(gens[0])
@@ -184,32 +185,43 @@ def group_from_permutations(
     index: dict[Perm, int] = {ident: 0}
     perms: list[Perm] = [ident]
     names: list[str] = ["e"]
-    queue = [ident]
-    while queue:
-        nxt: list[Perm] = []
-        for x in queue:
-            for k, g in enumerate(gens, start=1):
-                y = _compose(x, g)
-                if y not in index:
-                    if len(perms) >= max_order:
-                        raise ValueError(
-                            f"group too large: order exceeds the cap of {max_order}"
-                        )
-                    index[y] = len(perms)
-                    perms.append(y)
-                    word = f"g{k}" if x == ident else f"{names[index[x]]}*g{k}"
-                    names.append(word)
-                    nxt.append(y)
-        queue = nxt
+    tree: list[tuple[int, int]] = []  # (index of x, k) per y = x*gens[k] after e
+    for i, x in enumerate(perms):  # perms grows while read: a FIFO queue
+        for k, g in enumerate(gens):
+            y = _compose(x, g)
+            if y not in index:
+                if len(perms) >= max_order:
+                    raise ValueError(
+                        f"group too large: order exceeds the cap of {max_order}"
+                    )
+                index[y] = len(perms)
+                perms.append(y)
+                names.append(f"g{k + 1}" if i == 0 else f"{names[i]}*g{k + 1}")
+                tree.append((i, k))
+    # left[k][z] is the index of gens[k]*z
+    left = [[index[_compose(g, p)] for p in perms] for g in gens]
+    rows = [tuple(range(len(perms)))]
+    for parent, k in tree:
+        rows.append(tuple(map(rows[parent].__getitem__, left[k])))
+    return perms, names, tuple(rows)
 
-    table = tuple(
-        tuple(index[_compose(p, q)] for q in perms) for p in perms
-    )
+
+def group_from_permutations(
+    perm_generators, *, max_order: int = DEFAULT_ORDER_CAP
+) -> FiniteGroup:
+    """Enumerate the group generated by permutations of {0..m-1}.
+
+    Breadth-first closure over right multiplication; element names are the
+    shortest words in the generators, lexicographically least among the
+    shortest ("e", "g1", "g1*g2", ...).
+    """
+    gens = [tuple(p) for p in perm_generators]
+    _, names, table = _enumerate(gens, max_order)
     return FiniteGroup(
         elements=tuple(names),
         table=table,
         identity=0,
-        generators=tuple(index[g] for g in gens),
+        generators=tuple(range(1, len(gens) + 1)),
     )
 
 
@@ -260,7 +272,8 @@ def symmetric(m: int) -> FiniteGroup:
     """Symmetric group on {0..m-1}, m >= 2, elements named in cycle notation.
 
     Generators: the transposition (0 1), plus the m-cycle (0 1 .. m-1)
-    when m >= 3.
+    when m >= 3.  Elements are in the breadth-first order of
+    ``group_from_permutations``, under the same order cap (so m <= 7).
     """
     if m < 2:
         raise ValueError("symmetric group needs degree >= 2")
@@ -268,27 +281,12 @@ def symmetric(m: int) -> FiniteGroup:
     gens: list[Perm] = [swap]
     if m >= 3:
         gens.append(tuple(list(range(1, m)) + [0]))
-
-    index: dict[Perm, int] = {}
-    perms: list[Perm] = []
-    ident = tuple(range(m))
-    queue = [ident]
-    index[ident] = 0
-    perms.append(ident)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = _compose(x, g)
-            if y not in index:
-                index[y] = len(perms)
-                perms.append(y)
-                queue.append(y)
-    table = tuple(tuple(index[_compose(p, q)] for q in perms) for p in perms)
+    perms, _, table = _enumerate(gens, DEFAULT_ORDER_CAP)
     return FiniteGroup(
         elements=tuple(cycle_name(p) for p in perms),
         table=table,
         identity=0,
-        generators=tuple(index[g] for g in gens),
+        generators=tuple(range(1, len(gens) + 1)),
     )
 
 

@@ -4,7 +4,8 @@ A finite T0 topological space is the same data as a finite poset, and a
 finite poset is stored here as its Hasse diagram: the set of points plus
 the covering pairs (x, y) with x < y and nothing strictly between.  All
 values are immutable; every operation below is a pure function, so posets
-can be shared freely across threads.
+can be shared freely across threads.  Poset isomorphism is a digraph
+search and lives with the search, in ``engine``.
 """
 
 from __future__ import annotations
@@ -231,26 +232,6 @@ def core(p: Poset) -> Poset:
             return current
         victim = next(x for x in current.points if x in beats)
         current = _delete_point(current, victim)
-
-
-def isomorphic(p: Poset, q: Poset) -> dict[str, str] | None:
-    """A level- and cover-preserving bijection p -> q, or None.
-
-    Any cover-preserving digraph isomorphism preserves levels, so the
-    search runs over the Hasse digraphs seeded by (level, in, out) degree
-    triples.
-    """
-    if len(p.points) != len(q.points) or len(p.covers) != len(q.covers):
-        return None
-    if sorted(p._levels) != sorted(q._levels):
-        return None
-    from .automorphisms import hasse_digraph, isomorphism_between
-
-    seed_p = {x: (level_of(p, x), len(p._down[i]), len(p._up[i]))
-              for i, x in enumerate(p.points)}
-    seed_q = {x: (level_of(q, x), len(q._down[i]), len(q._up[i]))
-              for i, x in enumerate(q.points)}
-    return isomorphism_between(hasse_digraph(p), hasse_digraph(q), seed_p, seed_q)
 
 
 # -- serialization -----------------------------------------------------

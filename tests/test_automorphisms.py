@@ -29,8 +29,8 @@ from finspace import (
     verify_realization,
 )
 
-# the submodule, which the function of the same name hides from attribute access
-engine = importlib.import_module("finspace.automorphisms")
+# the engine submodule, for its private routines
+engine = importlib.import_module("finspace.engine")
 
 TRIANGLE = make_digraph(
     ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)]
@@ -281,7 +281,7 @@ def _brute_isomorphic(a, b, seed_a, seed_b) -> bool:
 
 def test_refinement_only_prunes(monkeypatch):
     """With every trace comparison passing, answers come from leaf checks."""
-    engine = importlib.import_module("finspace.automorphisms")
+    engine = importlib.import_module("finspace.engine")
     unchecked = engine._refine
     monkeypatch.setattr(
         engine, "_refine", lambda inc, keys, target=None: unchecked(inc, keys)

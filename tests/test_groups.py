@@ -10,7 +10,7 @@ from finspace import (
     right_translation,
     symmetric,
 )
-from finspace.groups import cycle_name
+from finspace.groups import _compose, cycle_name
 
 
 # -- enumeration from permutations -----------------------------------------
@@ -51,6 +51,50 @@ def test_duplicate_generators_rejected():
 def test_order_cap():
     with pytest.raises(ValueError, match="group too large"):
         group_from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], max_order=100)
+
+
+def test_symmetric_shares_the_order_cap():
+    # S8 has 40320 elements; the cap stops enumeration before any table
+    with pytest.raises(ValueError, match="group too large"):
+        symmetric(8)
+
+
+def _assert_composition_table(g, perms):
+    """table[i][j] is the index of perms[i] * perms[j] (apply j first)."""
+    index = {p: i for i, p in enumerate(perms)}
+    assert len(index) == g.order
+    for i, p in enumerate(perms):
+        assert g.table[i] == tuple(index[_compose(p, q)] for q in perms)
+
+
+def _from_cycle_name(name, m):
+    image = list(range(m))
+    for cycle in name.strip("()").split(")(") if name != "e" else []:
+        points = [int(v) for v in cycle.split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            image[a] = b
+    return tuple(image)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_symmetric_table_composes_its_named_permutations(m):
+    g = symmetric(m)
+    perms = [_from_cycle_name(name, m) for name in g.elements]
+    assert [cycle_name(p) for p in perms] == list(g.elements)
+    _assert_composition_table(g, perms)
+
+
+def test_word_table_composes_its_named_words():
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    g = group_from_permutations(gens)
+    perms = []
+    for name in g.elements:
+        p = (0, 1, 2, 3)
+        for word in name.split("*") if name != "e" else []:
+            p = _compose(p, gens[int(word[1:]) - 1])
+        perms.append(p)
+    assert g.order == 24
+    _assert_composition_table(g, perms)
 
 
 # -- named families ---------------------------------------------------------
@@ -289,6 +333,28 @@ def test_table_validation_is_exact_above_order_64():
             table=tuple(tuple(row) for row in table),
             identity=0,
             generators=(1,),
+        )
+
+
+def test_table_validation_catches_repeated_row_entry():
+    from finspace import FiniteGroup
+
+    # identity law holds; row 1 repeats 0
+    table = ((0, 1, 2, 3), (1, 0, 0, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    with pytest.raises(ValueError, match="rows must be permutations"):
+        FiniteGroup(
+            elements=("e", "a", "b", "c"), table=table, identity=0, generators=(1,)
+        )
+
+
+def test_table_validation_catches_repeated_column_entry():
+    from finspace import FiniteGroup
+
+    # identity law holds and every row is a permutation; column 1 repeats 0
+    table = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 0, 1, 2))
+    with pytest.raises(ValueError, match="columns must be permutations"):
+        FiniteGroup(
+            elements=("e", "a", "b", "c"), table=table, identity=0, generators=(1,)
         )
 
 
