@@ -214,6 +214,7 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
     block of g_k*g and the edge block.
     """
     n = len(group.generators)
+    family = [asymmetric_block(k) for k in range(3 * n + 1)]  # immutable, shared
     blocks: dict[str, Poset] = {}
     connections: set[tuple[str, str]] = set()
     info: list[tuple[str, BlockInfo]] = []
@@ -222,7 +223,7 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
         return f"vert[{group.elements[g]}]"
 
     for g in range(group.order):
-        blocks[vert_name(g)] = asymmetric_block(0)
+        blocks[vert_name(g)] = family[0]
         info.append(
             (
                 vert_name(g),
@@ -233,9 +234,9 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
         for g in range(group.order):
             target = group.table[gen][g]
             e_name, s_name, d_name = _block_names(group, k, g)
-            blocks[e_name] = asymmetric_block(k)
-            blocks[s_name] = asymmetric_block(n + k)
-            blocks[d_name] = asymmetric_block(2 * n + k)
+            blocks[e_name] = family[k]
+            blocks[s_name] = family[n + k]
+            blocks[d_name] = family[2 * n + k]
             src_el = group.elements[g]
             dst_el = group.elements[target]
             info.append((e_name, BlockInfo("edge", k, e_name, src_el, k, dst_el)))

@@ -57,17 +57,20 @@ class UsageError(Exception):
     pass
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed JSON in {path!r}: {exc}") from exc
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     try:
         if spec.startswith("@"):
-            try:
-                with open(spec[1:], encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except OSError as exc:
-                raise UsageError(f"cannot read {spec[1:]!r}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"malformed JSON in {spec[1:]!r}: {exc}") from exc
-            return group_from_permutations(data)
+            return group_from_permutations(_read_json(spec[1:]))
         if spec.startswith("perm:"):
             try:
                 data = json.loads(spec[len("perm:"):])
@@ -163,13 +166,7 @@ def _cmd_build_space(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.file!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {args.file!r}: {exc}") from exc
+    data = _read_json(args.file)
     try:
         if isinstance(data, dict) and "points" in data:
             digraph = hasse_digraph(poset_from_json_dict(data))

@@ -1,13 +1,15 @@
 """Automorphism groups of colored digraphs by individualization-refinement.
 
-One routine, ``_refine``, does all color refinement: it splits vertices by
-the multiset of (direction, edge color, neighbor class) over their incident
-edges until stable, and records a trace, one entry per round (class sizes
-and a hash of the sorted signatures of the classes re-signed that round).
-After the first round only the vertices next to a part split off in the
-previous round are re-signed, each split class's largest part excepted:
-the "process the smaller half" rule (Berkholz, Bonsma and Grohe, ESA 2013),
-which keeps the rounds and class ids of signing every vertex every round.
+All color refinement runs through one loop, ``_settle``, on one ordered
+partition (McKay and Piperno, "Practical graph isomorphism, II", 2014):
+``colors[v]`` names v's class by where it starts and ``cells`` maps each
+name to its members.  A round splits classes by the multiset of
+(direction, edge color, neighbor class) over incident edges; a split's
+first part keeps the class name and each later part is named by its own
+start, so no other class is renamed.  Only the vertices next to a part
+split off are re-signed, each split class's largest part excepted (the
+"smaller half" rule of Berkholz, Bonsma and Grohe, ESA 2013).  ``_refine``
+starts from seed keys and ``_split`` splits one vertex off its class.
 
 The search individualizes a vertex and refines again.  The left digraph
 always individualizes the smallest vertex of a non-singleton class, so its
@@ -34,8 +36,10 @@ sorted by image tuple.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 
 from .assembly import (
     RealizationSpace,
@@ -80,34 +84,52 @@ def hasse_digraph(p: Poset) -> ColoredDigraph:
 def _refine(inc, keys: list, target: list | None = None):
     """Stable coloring of one digraph from seed keys, with its trace.
 
-    Round 0 ranks the seed keys.  Each later round gives a vertex the
-    signature (its class, sorted (direction, edge color, neighbor class)
-    triples) and splits each class by rank of its members' signatures,
-    new ids following the old class order: exactly plain color refinement.
-    Round 1 signs every vertex.  Later rounds re-sign only the vertices
-    next to a part split off in the previous round, skipping each split
-    class's largest part: a vertex with no such neighbor has every
-    neighbor in a split class inside its largest part, so it keeps its
-    classmates' counts, and the untouched members of a class share the
-    signature of any one of them.
+    Round 0 names each seed class by its start (the number of smaller keys)
+    and hashes the sorted keys.  Round 1 signs all: keys are not signatures.
+    """
+    ordered = sorted(keys)
+    colors = [bisect_left(ordered, k) for k in keys]
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    entry = ((), hash(tuple(ordered)))
+    return _settle(inc, colors, cells, range(len(keys)), entry, target)
 
-    Each round appends (class sizes, hash of the sorted signatures of each
-    class with a re-signed member) to the trace, up to the round that is
-    discrete or splits nothing; isomorphic inputs give equal traces.  A
-    class re-signed without splitting still counts, so equal traces mean
-    equal class-to-class counts, as when every signature is hashed.
-    Returns (colors, trace), or None at the first round whose entry
+
+def _split(inc, colors: list[int], cells: dict, v: int, target: list | None = None):
+    """Individualize v in an equitable state (colors, cells), left as it is.
+
+    v leaves its class last: the rest keeps the class name and {v} is named
+    by its own start.  Only v's neighbours are re-signed in round 1.
+    """
+    c = colors[v]
+    rest = [u for u in cells[c] if u != v]
+    colors = colors[:]
+    colors[v] = c + len(rest)
+    cells = {**cells, c: rest, colors[v]: [v]}
+    entry = (((c, (len(rest), 1)),), 0)
+    return _settle(inc, colors, cells, {w for _, _, w in inc[v]}, entry, target)
+
+
+def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
+    """Refine the ordered partition (colors, cells) until it is equitable.
+
+    Each round signs the ``dirty`` vertices (sorted (direction, edge
+    color, neighbor class) triples) and splits each class by rank of its
+    members' signatures, as plain color refinement does.  A member not
+    re-signed has every neighbor in a split class inside its largest part,
+    so it shares its classmates' counts and the signature of any untouched
+    one.  Part lists are never changed once built.
+
+    Each round appends (the split classes with their part sizes, hash of
+    the sorted signatures of each class with a re-signed member) to the
+    trace, up to the round that is discrete or splits nothing; isomorphic
+    inputs give equal traces.  A class re-signed without splitting still
+    counts, so equal traces mean equal class-to-class counts.  Returns
+    ((colors, cells), trace), or None at the first round whose entry
     differs from ``target``'s.
     """
-    distinct = sorted(set(keys))
-    rank = {k: i for i, k in enumerate(distinct)}
-    colors = [rank[k] for k in keys]
-    cells: list[list[int]] = [[] for _ in distinct]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    entry = (tuple(map(len, cells)), hash(tuple(distinct)))
     trace: list = []
-    dirty = range(len(colors))  # seed keys are not signatures
 
     def sign(v: int) -> tuple:
         return tuple(sorted((d, e, colors[w]) for d, e, w in inc[v]))
@@ -116,16 +138,12 @@ def _refine(inc, keys: list, target: list | None = None):
         if target is not None and target[len(trace)] != entry:
             return None
         trace.append(entry)
-        # a round that splits no class leaves every signature as it was
-        if len(cells) == len(colors) or (
-            len(trace) > 1 and len(entry[0]) == len(trace[-2][0])
-        ):
-            return colors, trace
+        if len(cells) == len(colors) or (len(trace) > 1 and not entry[0]):
+            return (colors, cells), trace
         touched: dict[int, list[int]] = {}
         for v in dirty:
             touched.setdefault(colors[v], []).append(v)
-        signed = []
-        split: dict[int, list[list[int]]] = {}
+        signed, split = [], []
         for c in sorted(touched):
             parts: dict[tuple, list[int]] = {}
             for v in touched[c]:
@@ -137,31 +155,27 @@ def _refine(inc, keys: list, target: list | None = None):
             order = sorted(parts)
             signed.append((c, tuple(order)))
             if len(order) > 1:
-                split[c] = [parts[sig] for sig in order]
-        for c in sorted(split, reverse=True):
-            cells[c : c + 1] = split[c]
-        for c in range(min(split, default=len(cells)), len(cells)):
-            for v in cells[c]:
-                colors[v] = c
-        entry = (tuple(map(len, cells)), hash(tuple(signed)))
+                split.append((c, [parts[sig] for sig in order]))
         dirty = set()
-        for parts in split.values():
+        for c, parts in split:
             largest = max(parts, key=len)  # the first by rank: relabelling-invariant
-            for part in parts:
+            for i, part in enumerate(parts):
+                cells[c] = part
+                for v in part if i else ():  # the first part keeps the name
+                    colors[v] = c
                 if part is not largest:
                     for v in part:
                         dirty.update(w for _, _, w in inc[v])
-
-
-def _individualize(colors: list[int], v: int) -> list:
-    return [(c, i == v) for i, c in enumerate(colors)]
+                c += len(part)
+        sizes = tuple((c, tuple(map(len, parts))) for c, parts in split)
+        entry = (sizes, hash(tuple(signed)))
 
 
 def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
     """Coarsest equitable refinement of the seed coloring (default: all-same).
 
-    Class indices are assigned deterministically by sorted class
-    signatures, so equal inputs give byte-equal outputs.
+    Class indices are the ranks of the class names (starts), the order of
+    the sorted class signatures, so equal inputs give byte-equal outputs.
     """
     if seed is None:
         keys = [0] * len(d.vertices)
@@ -170,8 +184,9 @@ def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
         if missing:
             raise ValueError(f"seed coloring misses vertices: {missing[:3]!r}")
         keys = [seed[v] for v in d.vertices]
-    colors, _ = _refine(d._incidence, keys)
-    return Refinement(vertex_class=dict(zip(d.vertices, colors)))
+    (colors, cells), _ = _refine(d._incidence, keys)
+    rank = {c: i for i, c in enumerate(sorted(cells))}
+    return Refinement(vertex_class={v: rank[c] for v, c in zip(d.vertices, colors)})
 
 
 # -- search ------------------------------------------------------------
@@ -182,8 +197,8 @@ class _PairSearch:
 
     ``root`` is the right side's refinement against the left's, or None
     when no bijection can exist.  Otherwise ``path[d]`` is the left side's
-    (colors, trace) after individualizing ``base[:d]``, and ``path[-1]``
-    is discrete.
+    ((colors, cells), trace) after individualizing ``base[:d]``, and
+    ``path[-1]`` is discrete.
     """
 
     def __init__(self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None):
@@ -199,52 +214,40 @@ class _PairSearch:
         self.root = (
             _refine(self.inc_b, self.keys_b, self.path[0][1]) if compatible else None
         )
-        while self.root is not None and (v := self._pivot(*self.path[-1])) is not None:
+        while self.root is not None and (v := self._pivot(*self.path[-1][0])) is not None:
             self.base.append(v)
-            self.path.append(
-                _refine(a._incidence, _individualize(self.path[-1][0], v))
-            )
+            self.path.append(_split(a._incidence, *self.path[-1][0], v))
 
     @staticmethod
-    def _pivot(colors: list[int], trace: list) -> int | None:
-        sizes = trace[-1][0]
-        for v, c in enumerate(colors):
-            if sizes[c] > 1:
-                return v
-        return None
+    def _pivot(colors: list[int], cells: dict) -> int | None:
+        return next((v for v, c in enumerate(colors) if len(cells[c]) > 1), None)
 
-    def _extract(self, col_b: list[int]) -> VertexPerm | None:
-        where_b = {c: i for i, c in enumerate(col_b)}
-        if len(where_b) != self.n:
+    def _extract(self, state_b: tuple) -> VertexPerm | None:
+        cells_b = state_b[1]
+        if len(cells_b) != self.n:
             return None
-        sigma = tuple(where_b[c] for c in self.path[-1][0])
-        for s, t, c in self.edges_a:
-            if (sigma[s], sigma[t], c) not in self.edges_b:
-                return None
-        if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
-            return None
-        return sigma
+        sigma = tuple(cells_b[c][0] for c in self.path[-1][0][0])
+        carried = all((sigma[s], sigma[t], c) in self.edges_b for s, t, c in self.edges_a)
+        seeded = all(self.keys_a[v] == self.keys_b[w] for v, w in enumerate(sigma))
+        return sigma if carried and seeded else None
 
-    def _branch(self, depth: int, col_b: list[int], w: int) -> VertexPerm | None:
+    def _branch(self, depth: int, state_b: tuple, w: int) -> VertexPerm | None:
         """Map base[depth] to w on the right side, then complete the map."""
-        nxt = _refine(self.inc_b, _individualize(col_b, w), self.path[depth + 1][1])
+        nxt = _split(self.inc_b, *state_b, w, self.path[depth + 1][1])
         return None if nxt is None else self._find(depth + 1, nxt[0])
 
-    def _find(self, depth: int, col_b: list[int]) -> VertexPerm | None:
+    def _find(self, depth: int, state_b: tuple) -> VertexPerm | None:
         if depth == len(self.base):
-            return self._extract(col_b)
-        cls = self.path[depth][0][self.base[depth]]
-        for w in range(self.n):
-            if col_b[w] == cls:
-                sigma = self._branch(depth, col_b, w)
-                if sigma is not None:
-                    return sigma
+            return self._extract(state_b)
+        colors, _ = self.path[depth][0]
+        for w in sorted(state_b[1][colors[self.base[depth]]]):
+            sigma = self._branch(depth, state_b, w)
+            if sigma is not None:
+                return sigma
         return None
 
     def find_isomorphism(self) -> VertexPerm | None:
-        if self.root is None:
-            return None
-        return self._find(0, self.root[0])
+        return None if self.root is None else self._find(0, self.root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
 
@@ -252,16 +255,14 @@ class _PairSearch:
         self.gens_by_level: list[list[VertexPerm]] = [[] for _ in self.base]
         for depth in reversed(range(len(self.base))):
             v = self.base[depth]
-            colors = self.path[depth][0]
-            for w in range(self.n):
-                if w == v or colors[w] != colors[v] or w in self._orbit(v, depth):
+            colors, cells = state = self.path[depth][0]
+            for w in sorted(cells[colors[v]]):
+                if w == v or w in self._orbit(v, depth):
                     continue
-                sigma = self._branch(depth, colors, w)
+                sigma = self._branch(depth, state, w)
                 if sigma is not None:
                     self.gens_by_level[depth].append(sigma)
-        order = 1
-        for depth, v in enumerate(self.base):
-            order *= len(self._orbit(v, depth))
+        order = prod(len(self._orbit(v, depth)) for depth, v in enumerate(self.base))
         gens = sorted(g for level in self.gens_by_level for g in level)
         return AutGroup(generators=tuple(gens), order=order)
 
@@ -297,10 +298,11 @@ def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
             f"oracle limit: {n} vertices exceeds the cap of {ORACLE_VERTEX_LIMIT}"
         )
     edges = d._edge_indices
-    found = []
-    for sigma in permutations(range(n)):
-        if all((sigma[s], sigma[t], c) in edges for s, t, c in edges):
-            found.append(sigma)
+    found = [
+        sigma
+        for sigma in permutations(range(n))
+        if all((sigma[s], sigma[t], c) in edges for s, t, c in edges)
+    ]
     identity = tuple(range(n))
     gens = tuple(sorted(p for p in found if p != identity))
     return AutGroup(generators=gens, order=len(found))
@@ -518,10 +520,8 @@ def family_checks(k_max: int) -> FamilyReport:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     entries = []
-    sizes = []
     for k in range(k_max + 1):
         block = asymmetric_block(k)
-        sizes.append(len(block.points))
         entries.append(
             FamilyEntry(
                 k=k,
@@ -533,5 +533,5 @@ def family_checks(k_max: int) -> FamilyReport:
         )
     return FamilyReport(
         entries=tuple(entries),
-        sizes_pairwise_distinct=len(set(sizes)) == len(sizes),
+        sizes_pairwise_distinct=len({e.point_count for e in entries}) == len(entries),
     )

@@ -132,24 +132,25 @@ def test_refine_matches_reference(case):
 def _refine_relabelled(a, keys_a, pi):
     """Refine a, then its copy relabelled by pi against a's trace; check classes.
 
-    Returns the check, to repeat it on other seed keys, and both root colorings.
+    Returns the check, to repeat it on splits of matching vertices, and both
+    root states.
     """
     n = len(a.vertices)
     names = [f"w{i}" for i in range(n)]
     rename = {v: names[pi[i]] for i, v in enumerate(a.vertices)}
     b = make_digraph(names, [(rename[s], rename[t], c) for s, t, c in a.edges])
 
-    def check(keys_a, keys_b):
-        colors_a, trace = engine._refine(a._incidence, keys_a)
-        refined = engine._refine(b._incidence, keys_b, trace)
+    def check(args_a, args_b, refiner=engine._refine):
+        state_a, trace = refiner(a._incidence, *args_a)
+        refined = refiner(b._incidence, *args_b, trace)
         assert refined is not None
-        assert all(refined[0][pi[v]] == colors_a[v] for v in range(n))
-        return colors_a, refined[0]
+        assert all(refined[0][0][pi[v]] == state_a[0][v] for v in range(n))
+        return state_a, refined[0]
 
     keys_b = [None] * n
     for v, k in enumerate(keys_a):
         keys_b[pi[v]] = k
-    return check, check(keys_a, keys_b)
+    return check, check((keys_a,), (keys_b,))
 
 
 def test_refine_matches_reference_over_many_rounds():
@@ -174,9 +175,34 @@ def test_refine_trace_is_relabelling_invariant(case, data):
     a, seed = case
     pi = data.draw(st.permutations(range(len(a.vertices))))
     keys = [seed[v] for v in a.vertices]
-    check, (colors_a, colors_b) = _refine_relabelled(a, keys, pi)
+    check, (root_a, root_b) = _refine_relabelled(a, keys, pi)
+    colors, cells = root_a
     for v, w in enumerate(pi):
-        check(engine._individualize(colors_a, v), engine._individualize(colors_b, w))
+        if len(cells[colors[v]]) > 1:
+            check((*root_a, v), (*root_b, w), engine._split)
+
+
+@given(seeded_digraphs())
+def test_split_matches_reference(case):
+    """Splitting v off the root state refines as the reference does from the
+    root classes with v flagged; class ids are the ranks of class names.
+    Two disjoint copies of the drawn digraph leave no root class a singleton."""
+    one, seed_one = case
+    d = make_digraph(
+        [c + v for c in "ab" for v in one.vertices],
+        [(c + s, c + t, e) for c in "ab" for s, t, e in one.edges],
+    )
+    seed = {c + v: k for c in "ab" for v, k in seed_one.items()}
+    root, _ = engine._refine(d._incidence, [seed[u] for u in d.vertices])
+    root_class = refine(d, seed).vertex_class
+    colors, cells = root
+    for i, v in enumerate(d.vertices):
+        if len(cells[colors[i]]) > 1:
+            (split, names), _ = engine._split(d._incidence, *root, i)
+            rank = {c: r for r, c in enumerate(sorted(names))}
+            flagged = {u: (root_class[u], u == v) for u in d.vertices}
+            classes = {u: rank[split[j]] for j, u in enumerate(d.vertices)}
+            assert classes == reference_refine(d, flagged)
 
 
 # -- automorphisms vs oracle ---------------------------------------------
@@ -282,10 +308,8 @@ def _brute_isomorphic(a, b, seed_a, seed_b) -> bool:
 def test_refinement_only_prunes(monkeypatch):
     """With every trace comparison passing, answers come from leaf checks."""
     engine = importlib.import_module("finspace.engine")
-    unchecked = engine._refine
-    monkeypatch.setattr(
-        engine, "_refine", lambda inc, keys, target=None: unchecked(inc, keys)
-    )
+    unchecked = engine._settle
+    monkeypatch.setattr(engine, "_settle", lambda *args: unchecked(*args[:-1], None))
     rng = random.Random(271_828)
     for _ in range(40):
         a = random_colored_digraph(rng, max_vertices=6)

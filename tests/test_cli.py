@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import finspace
 from finspace import (
     asymmetric_block,
     cayley_graph,
@@ -193,6 +198,26 @@ def test_outputs_deterministic(capsys):
     one = run(capsys, "verify", "dihedral:6")
     two = run(capsys, "verify", "dihedral:6")
     assert one == two
+
+
+def test_outputs_identical_across_hash_seeds(capsys, tmp_path):
+    """String hashes differ between processes; no output may depend on them."""
+    space = tmp_path / "space.json"
+    space.write_text(run(capsys, "build-space", "dihedral:6", "--format", "json")[1])
+    commands = [["verify", "dihedral:8"], ["aut", str(space)], ["family-check", "4"]]
+    src = str(Path(finspace.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m", "finspace.cli", *argv],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            for argv in commands
+        ])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].strip().endswith("PASS")
 
 
 def test_help_exits_zero(capsys):
