@@ -39,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
-from math import prod
 
 from .assembly import (
     RealizationSpace,
@@ -85,14 +84,15 @@ def _refine(inc, keys: list, target: list | None = None):
     """Stable coloring of one digraph from seed keys, with its trace.
 
     Round 0 names each seed class by its start (the number of smaller keys)
-    and hashes the sorted keys.  Round 1 signs all: keys are not signatures.
+    and records the sorted keys themselves, so two sides that pass round 0
+    have equal class sizes.  Round 1 signs all: keys are not signatures.
     """
     ordered = sorted(keys)
     colors = [bisect_left(ordered, k) for k in keys]
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    entry = ((), hash(tuple(ordered)))
+    entry = ((), tuple(ordered))
     return _settle(inc, colors, cells, range(len(keys)), entry, target)
 
 
@@ -220,16 +220,22 @@ class _PairSearch:
 
     @staticmethod
     def _pivot(colors: list[int], cells: dict) -> int | None:
-        return next((v for v, c in enumerate(colors) if len(cells[c]) > 1), None)
+        for v, c in enumerate(colors):
+            if len(cells[c]) > 1:
+                return v
+        return None
 
     def _extract(self, state_b: tuple) -> VertexPerm | None:
         cells_b = state_b[1]
         if len(cells_b) != self.n:
             return None
         sigma = tuple(cells_b[c][0] for c in self.path[-1][0][0])
-        carried = all((sigma[s], sigma[t], c) in self.edges_b for s, t, c in self.edges_a)
-        seeded = all(self.keys_a[v] == self.keys_b[w] for v, w in enumerate(sigma))
-        return sigma if carried and seeded else None
+        for s, t, c in self.edges_a:
+            if (sigma[s], sigma[t], c) not in self.edges_b:
+                return None
+        if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
+            return None
+        return sigma
 
     def _branch(self, depth: int, state_b: tuple, w: int) -> VertexPerm | None:
         """Map base[depth] to w on the right side, then complete the map."""
@@ -247,7 +253,9 @@ class _PairSearch:
         return None
 
     def find_isomorphism(self) -> VertexPerm | None:
-        return None if self.root is None else self._find(0, self.root[0])
+        if self.root is None:
+            return None
+        return self._find(0, self.root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
 
@@ -262,7 +270,9 @@ class _PairSearch:
                 sigma = self._branch(depth, state, w)
                 if sigma is not None:
                     self.gens_by_level[depth].append(sigma)
-        order = prod(len(self._orbit(v, depth)) for depth, v in enumerate(self.base))
+        order = 1
+        for depth, v in enumerate(self.base):
+            order *= len(self._orbit(v, depth))
         gens = sorted(g for level in self.gens_by_level for g in level)
         return AutGroup(generators=tuple(gens), order=order)
 
@@ -298,11 +308,10 @@ def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
             f"oracle limit: {n} vertices exceeds the cap of {ORACLE_VERTEX_LIMIT}"
         )
     edges = d._edge_indices
-    found = [
-        sigma
-        for sigma in permutations(range(n))
-        if all((sigma[s], sigma[t], c) in edges for s, t, c in edges)
-    ]
+    found = []
+    for sigma in permutations(range(n)):
+        if all((sigma[s], sigma[t], c) in edges for s, t, c in edges):
+            found.append(sigma)
     identity = tuple(range(n))
     gens = tuple(sorted(p for p in found if p != identity))
     return AutGroup(generators=gens, order=len(found))
@@ -520,8 +529,10 @@ def family_checks(k_max: int) -> FamilyReport:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     entries = []
+    sizes = []
     for k in range(k_max + 1):
         block = asymmetric_block(k)
+        sizes.append(len(block.points))
         entries.append(
             FamilyEntry(
                 k=k,
@@ -533,5 +544,5 @@ def family_checks(k_max: int) -> FamilyReport:
         )
     return FamilyReport(
         entries=tuple(entries),
-        sizes_pairwise_distinct=len({e.point_count for e in entries}) == len(entries),
+        sizes_pairwise_distinct=len(set(sizes)) == len(sizes),
     )

@@ -291,6 +291,14 @@ def test_isomorphism_between_respects_colors():
     assert isomorphism_between(one, other) is None
 
 
+def test_isomorphism_between_seeds_with_equal_hashes():
+    """Seed multisets that hash alike (in CPython hash(-1) == hash(-2))."""
+    a = make_digraph(["x", "y"], [])
+    b = make_digraph(["x", "y"], [])
+    assert isomorphism_between(a, b, {"x": -1, "y": -2}, {"x": -1, "y": -1}) is None
+    assert isomorphism_between(b, a, {"x": -1, "y": -1}, {"x": -1, "y": -2}) is None
+
+
 def _carries(mapping, a, b, seed_a, seed_b) -> bool:
     """The map sends a's edges onto b's and keeps every seed value."""
     return {(mapping[s], mapping[t], c) for s, t, c in a.edges} == b.edges and all(
