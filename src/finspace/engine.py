@@ -16,14 +16,16 @@ always individualizes the smallest vertex of a non-singleton class, so its
 refinements form a single path down to a discrete leaf, computed once.
 The right digraph branches over the candidate images of each base point
 and is refined against the left path's trace, abandoning a branch at the
-first round that differs.  In automorphism mode the left path is the
-identity branch: alternatives tried at depth d yield generators fixing the
-first d base points, orbits of the found generators prune redundant
-branches, and the group order is the product of the base-point orbit
-sizes.  Every map emitted by the search is explicitly checked against the
-edge set and the seed coloring, so refinement is a pruning device, never a
-source of truth.  A factorial-time oracle over all vertex bijections is
-provided for cross-validation on small graphs.
+first round that differs.  In automorphism mode the right digraph is the
+left one, so the left path is also the right root and the identity
+branch: alternatives tried at depth d, deepest first, yield generators
+fixing the first d base points; one union-find forest of their orbits
+prunes redundant branches, and the group order is the product of the
+base-point orbit sizes.  Every map emitted by the search is checked by one
+edge test, ``_carries``, and against the seed coloring, so refinement is a
+pruning device, never a source of truth.  The same edge test serves a
+factorial-time oracle over all vertex bijections, for cross-validation on
+small graphs, and part 2 of the certificate.
 
 On top of the search: poset isomorphism (``isomorphic``), the realization
 certificate (``verify_realization``) and the block family audit
@@ -192,13 +194,19 @@ def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
 # -- search ------------------------------------------------------------
 
 
+def _carries(sigma: VertexPerm, edges_a, edges_b) -> bool:
+    """Whether sigma sends every (source, target, color) of edges_a into edges_b."""
+    return all((sigma[s], sigma[t], c) in edges_b for s, t, c in edges_a)
+
+
 class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
-    ``root`` is the right side's refinement against the left's, or None
-    when no bijection can exist.  Otherwise ``path[d]`` is the left side's
+    The constructor refines the left side only: ``path[d]`` is its
     ((colors, cells), trace) after individualizing ``base[:d]``, and
-    ``path[-1]`` is discrete.
+    ``path[-1]`` is discrete.  The right side is refined against
+    ``path[0]``'s trace when an isomorphism is sought; in automorphism mode
+    it is the left side, so ``path[d]`` serves both.
     """
 
     def __init__(self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None):
@@ -208,13 +216,9 @@ class _PairSearch:
         self.edges_b = b._edge_indices
         self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
         self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
-        compatible = self.n == len(b.vertices) and len(self.edges_a) == len(self.edges_b)
         self.base: list[int] = []
         self.path = [_refine(a._incidence, self.keys_a)]
-        self.root = (
-            _refine(self.inc_b, self.keys_b, self.path[0][1]) if compatible else None
-        )
-        while self.root is not None and (v := self._pivot(*self.path[-1][0])) is not None:
+        while (v := self._pivot(*self.path[-1][0])) is not None:
             self.base.append(v)
             self.path.append(_split(a._incidence, *self.path[-1][0], v))
 
@@ -230,9 +234,8 @@ class _PairSearch:
         if len(cells_b) != self.n:
             return None
         sigma = tuple(cells_b[c][0] for c in self.path[-1][0][0])
-        for s, t, c in self.edges_a:
-            if (sigma[s], sigma[t], c) not in self.edges_b:
-                return None
+        if not _carries(sigma, self.edges_a, self.edges_b):
+            return None
         if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
             return None
         return sigma
@@ -253,41 +256,41 @@ class _PairSearch:
         return None
 
     def find_isomorphism(self) -> VertexPerm | None:
-        if self.root is None:
+        if self.n != len(self.inc_b) or len(self.edges_a) != len(self.edges_b):
             return None
-        return self._find(0, self.root[0])
+        root = _refine(self.inc_b, self.keys_b, self.path[0][1])
+        return None if root is None else self._find(0, root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
 
     def automorphism_group(self) -> AutGroup:
-        self.gens_by_level: list[list[VertexPerm]] = [[] for _ in self.base]
+        """A generator found at depth d fixes base[:d].  Depths run deepest
+        first, so the forest holds the orbits of generators that all fix
+        base[:d], and once depth d is done, base[d]'s class in it is its
+        orbit under the pointwise stabilizer of base[:d]."""
+        parent = list(range(self.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        gens: list[VertexPerm] = []
+        order = 1
         for depth in reversed(range(len(self.base))):
             v = self.base[depth]
             colors, cells = state = self.path[depth][0]
-            for w in sorted(cells[colors[v]]):
-                if w == v or w in self._orbit(v, depth):
+            cell = sorted(cells[colors[v]])
+            for w in cell:
+                if find(w) == find(v):
                     continue
                 sigma = self._branch(depth, state, w)
                 if sigma is not None:
-                    self.gens_by_level[depth].append(sigma)
-        order = 1
-        for depth, v in enumerate(self.base):
-            order *= len(self._orbit(v, depth))
-        gens = sorted(g for level in self.gens_by_level for g in level)
-        return AutGroup(generators=tuple(gens), order=order)
-
-    def _orbit(self, v: int, depth: int) -> set[int]:
-        gens = [g for level in self.gens_by_level[depth:] for g in level]
-        orbit = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        return orbit
+                    gens.append(sigma)
+                    for x, y in enumerate(sigma):
+                        parent[find(x)] = find(y)
+            order *= sum(find(w) == find(v) for w in cell)
+        return AutGroup(generators=tuple(sorted(gens)), order=order)
 
 
 def automorphisms(d: ColoredDigraph) -> AutGroup:
@@ -308,10 +311,7 @@ def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
             f"oracle limit: {n} vertices exceeds the cap of {ORACLE_VERTEX_LIMIT}"
         )
     edges = d._edge_indices
-    found = []
-    for sigma in permutations(range(n)):
-        if all((sigma[s], sigma[t], c) in edges for s, t, c in edges):
-            found.append(sigma)
+    found = [p for p in permutations(range(n)) if _carries(p, edges, edges)]
     identity = tuple(range(n))
     gens = tuple(sorted(p for p in found if p != identity))
     return AutGroup(generators=gens, order=len(found))
@@ -401,10 +401,11 @@ def verify_realization(
     Three parts: (1) the space is minimal, so self-equivalences up to
     homotopy are exactly Hasse-digraph automorphisms; (2) each of the |G|
     induced right-translation maps is checked on its own to be a bijection
-    carrying every cover onto a cover, and the |G| maps are pairwise
-    distinct, giving an injective homomorphism from the group; (3) the
-    search engine counts exactly |G| automorphisms in total.  Together:
-    an injection between finite groups of equal order, an isomorphism.
+    carrying every edge of the Hasse digraph onto an edge, and the |G| maps
+    are pairwise distinct, giving an injective homomorphism from the group;
+    (3) the search engine counts exactly |G| automorphisms of that same
+    digraph.  Together: an injection between finite groups of equal order,
+    an isomorphism.
     """
     size = predicted_point_count(group)
     if size > budget:
@@ -413,14 +414,9 @@ def verify_realization(
             f"of {budget}"
         )
     space = build_realization(group)
-    return _report_for(space)
-
-
-def _report_for(space: RealizationSpace) -> RealizationReport:
-    group = space.group
     x = space.poset
-    valid, distinct = _check_translations(space)
-    engine = automorphisms(hasse_digraph(x))
+    d = hasse_digraph(x)
+    valid, distinct = _check_translations(space, d._edge_indices)
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
@@ -430,31 +426,23 @@ def _report_for(space: RealizationSpace) -> RealizationReport:
         minimal=is_minimal(x),
         induced_valid=valid,
         induced_distinct=distinct,
-        engine_order=engine.order,
+        engine_order=automorphisms(d).order,
     )
 
 
-def _check_translations(space: RealizationSpace) -> tuple[int, bool]:
+def _check_translations(space: RealizationSpace, edges) -> tuple[int, bool]:
     """Part 2 on point-index tuples: how many of the |G| induced maps are
-    bijections carrying every cover (as an index pair) onto a cover, and
-    whether the |G| maps are pairwise distinct.  Each map is checked on its
-    own; nothing assumes they form a homomorphism."""
-    x = space.poset
-    n = len(x.points)
+    bijections carrying every edge of the Hasse digraph (indexed as
+    ``space.poset.points``) onto an edge, and whether the |G| maps are
+    pairwise distinct.  Each map is checked on its own; nothing assumes
+    they form a homomorphism."""
+    n = len(space.poset.points)
     every = set(range(n))
-    covers = {(x._index[a], x._index[b]) for a, b in x.covers}
-    srcs = [a for a, _ in covers]
-    dsts = [b for _, b in covers]
     images = set()
     valid = 0
     for h in range(space.group.order):
         image = induced_translation(space, h)
-        at = image.__getitem__
-        if (
-            len(image) == n
-            and set(image) == every
-            and covers.issuperset(zip(map(at, srcs), map(at, dsts)))
-        ):
+        if len(image) == n and set(image) == every and _carries(image, edges, edges):
             valid += 1
         images.add(image)
     return valid, len(images) == space.group.order

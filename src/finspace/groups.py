@@ -81,16 +81,14 @@ class FiniteGroup:
             raise ValueError("duplicate element names")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table must be |G| x |G|")
-        if any(not (0 <= v < n) for row in self.table for v in row):
-            raise ValueError("table entries must be element indices")
         e = self.identity
         if not (0 <= e < n):
             raise ValueError("identity index out of range")
         if any(self.table[e][j] != j or self.table[j][e] != j for j in range(n)):
             raise ValueError("identity law fails")
-        # entries are in range, so n distinct ones are a permutation
-        if any(len(set(row)) != n for row in self.table):
-            raise ValueError("rows must be permutations (missing inverses)")
+        every = set(range(n))
+        if any(set(row) != every for row in self.table):
+            raise ValueError("rows must be permutations of the element indices")
         if any(len(set(col)) != n for col in zip(*self.table)):
             raise ValueError("columns must be permutations (missing inverses)")
         self._check_associativity()

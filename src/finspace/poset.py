@@ -199,20 +199,10 @@ def _covers_from_strict_up(points: tuple[str, ...], masks: list[int]) -> frozens
 def _delete_point(p: Poset, x: str) -> Poset:
     """Remove x, keeping the order induced on the remaining points."""
     gone = _require(p, x)
-    keep = [i for i in range(len(p.points)) if i != gone]
-    renum = {old: new for new, old in enumerate(keep)}
-    points = tuple(p.points[i] for i in keep)
-    masks = []
-    for old in keep:
-        m = p._strict_up[old]
-        m &= ~(1 << gone)
-        packed = 0
-        while m:
-            j = (m & -m).bit_length() - 1
-            packed |= 1 << renum[j]
-            m &= m - 1
-        masks.append(packed)
-    return Poset(points, _covers_from_strict_up(points, masks))
+    masks = [m & ~(1 << gone) for m in p._strict_up]
+    masks[gone] = 0
+    covers = _covers_from_strict_up(p.points, masks)
+    return Poset(tuple(y for y in p.points if y != x), covers)
 
 
 def core(p: Poset) -> Poset:

@@ -271,6 +271,34 @@ def test_empty_and_tiny_digraphs():
     assert automorphisms(two).order == 2
 
 
+def test_automorphisms_refine_the_root_once(monkeypatch):
+    """In automorphism mode the right side is the left side's path."""
+    calls = []
+    refine_root = engine._refine
+    monkeypatch.setattr(
+        engine, "_refine", lambda *args: calls.append(1) or refine_root(*args)
+    )
+    assert automorphisms(hasse_digraph(build_realization(cyclic(3)).poset)).order == 3
+    assert calls == [1]
+
+
+def test_orbit_pruning_skips_images_of_found_generators(monkeypatch):
+    """On a directed 7-cycle the first rotation found carries the base point
+    to every other candidate, so one branch is tried, not six."""
+    branches = []
+    branch = engine._PairSearch._branch
+    monkeypatch.setattr(
+        engine._PairSearch,
+        "_branch",
+        lambda self, *args: branches.append(args[-1]) or branch(self, *args),
+    )
+    names = [f"v{i}" for i in range(7)]
+    cycle = make_digraph(names, [(names[i], names[(i + 1) % 7], 1) for i in range(7)])
+    group = automorphisms(cycle)
+    assert (group.order, len(group.generators)) == (7, 1)
+    assert len(branches) == 1
+
+
 # -- isomorphism search -----------------------------------------------------
 
 
@@ -372,7 +400,8 @@ def test_trace_pruning_reaches_no_leaf(monkeypatch):
     jumps = [(names[i], names[(i + 2) % 6]) for i in range(6)]
     a = make_digraph(names, steps + [(s, t, 2) for s, t in jumps])
     b = make_digraph(names, steps + [(s, t, 1) for s, t in jumps])
-    assert engine._PairSearch(a, b).root is None
+    root_trace = engine._refine(a._incidence, [0] * 6)[1]
+    assert engine._refine(b._incidence, [0] * 6, root_trace) is None
 
 
 # -- realization verification -------------------------------------------

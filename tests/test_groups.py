@@ -347,6 +347,17 @@ def test_table_validation_catches_repeated_row_entry():
         )
 
 
+def test_table_validation_catches_out_of_range_entry():
+    from finspace import FiniteGroup
+
+    # identity law holds; row 1 holds 4, which names no element
+    table = ((0, 1, 2, 3), (1, 4, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    with pytest.raises(ValueError, match="rows must be permutations"):
+        FiniteGroup(
+            elements=("e", "a", "b", "c"), table=table, identity=0, generators=(1,)
+        )
+
+
 def test_table_validation_catches_repeated_column_entry():
     from finspace import FiniteGroup
 

@@ -18,6 +18,7 @@ from finspace import (
     poset_to_dot,
     poset_to_json,
 )
+from finspace.poset import _delete_point
 
 CHAIN3 = make_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 VEE = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -207,6 +208,15 @@ def test_core_absorbs_fresh_point_over_a_maximal_point(p):
 def test_cover_levels_increase(p):
     for x, y in p.covers:
         assert level_of(p, y) >= level_of(p, x) + 1
+
+
+@given(posets(max_points=10))
+def test_delete_point_keeps_the_induced_order(p):
+    above, _ = _strict_sets(p)
+    for x in p.points:
+        rest = _delete_point(p, x)
+        assert rest.points == tuple(y for y in p.points if y != x)
+        assert _strict_sets(rest)[0] == {y: above[y] - {x} for y in rest.points}
 
 
 def test_core_deterministic_seeded_sweep():
