@@ -16,7 +16,6 @@ reproduces the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .blocks import asymmetric_block
 from .groups import FiniteGroup
@@ -153,38 +152,6 @@ class RealizationSpace:
             counts[fam] = counts.get(fam, 0) + 1
         return dict(sorted(counts.items()))
 
-    @cached_property
-    def _block_layout(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int, int], ...]]:
-        """Point indices, and per block in point order (starts, element, size).
-
-        ``starts[g]`` is the first point index of the block of element g in
-        the same slot, the pair (kind, colour).  Raises ``ValueError``
-        unless each block's points are contiguous, the blocks of a slot list
-        the same local names, and each slot has one block per element.
-        """
-        elem_index = {name: i for i, name in enumerate(self.group.elements)}
-        runs: list[tuple[str, tuple, int, int, list[str]]] = []
-        for i, point in enumerate(self.poset.points):
-            info = self.provenance[point]
-            if not runs or runs[-1][0] != info.block:
-                slot = (info.kind, info.color)
-                runs.append((info.block, slot, elem_index[info.element], i, []))
-            runs[-1][4].append(point[len(info.block) + 1 :])
-        local_names: dict[tuple, list[str]] = {}
-        starts: dict[tuple, int] = {}
-        for block, slot, g, start, local in runs:
-            if local_names.setdefault(slot, local) != local or (slot, g) in starts:
-                raise ValueError(f"block {block!r} breaks the slot layout")
-            starts[slot, g] = start
-        order = self.group.order
-        if len(starts) != order * len(local_names):
-            raise ValueError("a slot lacks the block of some element")
-        by_slot = {s: tuple(starts[s, g] for g in range(order)) for s in local_names}
-        blocks = tuple((by_slot[slot], g, len(local)) for _, slot, g, _, local in runs)
-        return tuple(range(len(self.poset.points))), blocks
-
     def block_point_sets(self) -> dict[str, frozenset[str]]:
         grouped: dict[str, set[str]] = {}
         for point, info in self.provenance.items():
@@ -259,19 +226,31 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
 def induced_translation(space: RealizationSpace, h: int) -> tuple[int, ...]:
     """The point map on the realization space induced by x -> x*h.
 
-    Blocks of one slot (kind and colour) are carried onto blocks of the
-    same slot — the vertex block of g to that of g*h, the blocks of edge
-    (g, g_k*g) to those of (g*h, g_k*g*h) — acting as the identity on
-    block-local names.  Returned in index form: entry i is the index in
-    ``space.poset.points`` of the image of point i.  Legitimacy as an
-    automorphism is the caller's check.
+    Each point of the block of slot (kind, colour) and element g goes to
+    the point of the same local name in the block of that slot and g*h:
+    the vertex block of g to that of g*h, the blocks of edge (g, g_k*g) to
+    those of (g*h, g_k*g*h).  Blocks, slots and elements are read from
+    ``provenance``.  Returned in index form: entry i is the index in
+    ``space.poset.points`` of the image of point i.  Raises ``ValueError``
+    when two blocks claim one slot and element, or an image point is
+    missing.  Whether the map is an automorphism is the caller's check.
     """
     group = space.group
     if not (0 <= h < group.order):
         raise ValueError(f"no element with index {h}")
-    index, layout = space._block_layout
+    times_h = {x: group.elements[group.table[g][h]] for g, x in enumerate(group.elements)}
+    block_of: dict[tuple, str] = {}
+    for info in space.provenance.values():
+        key = (info.kind, info.color, info.element)
+        if block_of.setdefault(key, info.block) != info.block:
+            raise ValueError(f"{block_of[key]!r} and {info.block!r} claim one slot")
+    index = space.poset._index
     image: list[int] = []
-    for starts, g, size in layout:
-        start = starts[group.table[g][h]]
-        image.extend(index[start : start + size])
+    try:
+        for p in space.poset.points:
+            info = space.provenance[p]
+            target = block_of[info.kind, info.color, times_h[info.element]]
+            image.append(index[target + p[len(info.block):]])
+    except KeyError as exc:
+        raise ValueError(f"no image under element {h} for {exc}") from None
     return tuple(image)

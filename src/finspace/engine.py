@@ -28,8 +28,9 @@ factorial-time oracle over all vertex bijections, for cross-validation on
 small graphs, and part 2 of the certificate.
 
 On top of the search: poset isomorphism (``isomorphic``), the realization
-certificate (``verify_realization``) and the block family audit
-(``family_checks``).  No module but the CLI imports this one.
+certificate (``verify_realization``, exact on the generators' translations
+alone) and the block family audit (``family_checks``).  No module but the
+CLI imports this one.
 
 Everything here is deterministic: pivots are the smallest eligible vertex
 indices, candidates are tried in index order, and reported generators are
@@ -362,16 +363,14 @@ class RealizationReport:
     cover_count: int
     inventory: tuple[tuple[int, int], ...]
     minimal: bool
-    induced_valid: int
-    induced_distinct: bool
+    generators_valid: int
     engine_order: int
 
     @property
     def passed(self) -> bool:
         return (
             self.minimal
-            and self.induced_valid == self.group_order
-            and self.induced_distinct
+            and self.generators_valid == self.generator_count
             and self.engine_order == self.group_order
         )
 
@@ -383,9 +382,9 @@ class RealizationReport:
             f"points: {self.point_count}, covers: {self.cover_count}",
             f"blocks: {blocks}",
             f"minimal (no beat points): {'PASS' if self.minimal else 'FAIL'}",
-            f"induced right translations: {self.induced_valid}/{self.group_order} "
-            f"valid automorphisms, pairwise distinct: "
-            f"{'PASS' if self.induced_valid == self.group_order and self.induced_distinct else 'FAIL'}",
+            f"generator translations t_s: {self.generators_valid}/"
+            f"{self.generator_count} automorphisms taking vertex block g to g*s: "
+            f"{'PASS' if self.generators_valid == self.generator_count else 'FAIL'}",
             f"order(Aut) = {self.engine_order} "
             f"{'=' if self.engine_order == self.group_order else '!='} |G| : "
             f"{'PASS' if self.passed else 'FAIL'}",
@@ -399,13 +398,16 @@ def verify_realization(
     """Certify that the realization space's automorphism group is the group.
 
     Three parts: (1) the space is minimal, so self-equivalences up to
-    homotopy are exactly Hasse-digraph automorphisms; (2) each of the |G|
-    induced right-translation maps is checked on its own to be a bijection
-    carrying every edge of the Hasse digraph onto an edge, and the |G| maps
-    are pairwise distinct, giving an injective homomorphism from the group;
-    (3) the search engine counts exactly |G| automorphisms of that same
-    digraph.  Together: an injection between finite groups of equal order,
-    an isomorphism.
+    homotopy are exactly Hasse-digraph automorphisms; (2) for each
+    generator s, the induced right translation t_s is a bijection carrying
+    every edge of the Hasse digraph onto an edge and the nonempty vertex
+    block of each g into that of g*s; (3) the search engine counts exactly
+    |G| automorphisms of that same digraph.  By (2), H = <t_s> <= Aut(X)
+    acts on the vertex blocks as <rho_s> = rho(G), the right regular
+    representation, of order |G| as the generators generate G.  So
+    |H| >= |G| = |Aut(X)| by (3): H = Aut(X), and its action on the vertex
+    blocks is an isomorphism onto rho(G), a copy of G.  Nothing assumes
+    that h -> t_h is a homomorphism.
     """
     size = predicted_point_count(group)
     if size > budget:
@@ -416,7 +418,6 @@ def verify_realization(
     space = build_realization(group)
     x = space.poset
     d = hasse_digraph(x)
-    valid, distinct = _check_translations(space, d._edge_indices)
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
@@ -424,28 +425,32 @@ def verify_realization(
         cover_count=len(x.covers),
         inventory=tuple(space.block_inventory().items()),
         minimal=is_minimal(x),
-        induced_valid=valid,
-        induced_distinct=distinct,
+        generators_valid=_check_generators(space, d._edge_indices),
         engine_order=automorphisms(d).order,
     )
 
 
-def _check_translations(space: RealizationSpace, edges) -> tuple[int, bool]:
-    """Part 2 on point-index tuples: how many of the |G| induced maps are
-    bijections carrying every edge of the Hasse digraph (indexed as
-    ``space.poset.points``) onto an edge, and whether the |G| maps are
-    pairwise distinct.  Each map is checked on its own; nothing assumes
-    they form a homomorphism."""
-    n = len(space.poset.points)
-    every = set(range(n))
-    images = set()
+def _check_generators(space: RealizationSpace, edges) -> int:
+    """Part 2: how many generators s have a translation t_s that permutes
+    the point indices, carries every edge onto an edge, and maps each point
+    of the vertex block of g into that of g*s.  Vertex blocks come from the
+    provenance; with one of them empty, no generator passes."""
+    group = space.group
+    elem = {x: g for g, x in enumerate(group.elements)}
+    infos = map(space.provenance.__getitem__, space.poset.points)
+    vertex = [elem.get(i.element) if i.kind == "vertex" else None for i in infos]
+    blocks = [(x, g) for x, g in enumerate(vertex) if g is not None]
+    if {g for _, g in blocks} != set(range(group.order)):
+        return 0
     valid = 0
-    for h in range(space.group.order):
-        image = induced_translation(space, h)
-        if len(image) == n and set(image) == every and _carries(image, edges, edges):
-            valid += 1
-        images.add(image)
-    return valid, len(images) == space.group.order
+    for s in group.generators:
+        image = induced_translation(space, s)
+        valid += (
+            sorted(image) == list(range(len(vertex)))
+            and _carries(image, edges, edges)
+            and all(vertex[image[x]] == group.table[g][s] for x, g in blocks)
+        )
+    return valid
 
 
 # -- block family audit ----------------------------------------------

@@ -159,6 +159,11 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, generators=[{gens}])"
 
 
+def _check_order(order: int, cap: int = DEFAULT_ORDER_CAP) -> None:
+    if order > cap:
+        raise ValueError(f"group too large: order exceeds the cap of {cap}")
+
+
 def _enumerate(gens: list[Perm], max_order: int) -> tuple[list[Perm], list[str], tuple]:
     """Permutations, word names and multiplication table of the group
     generated by ``gens``, in breadth-first order from the identity.
@@ -188,10 +193,7 @@ def _enumerate(gens: list[Perm], max_order: int) -> tuple[list[Perm], list[str],
         for k, g in enumerate(gens):
             y = _compose(x, g)
             if y not in index:
-                if len(perms) >= max_order:
-                    raise ValueError(
-                        f"group too large: order exceeds the cap of {max_order}"
-                    )
+                _check_order(len(perms) + 1, max_order)
                 index[y] = len(perms)
                 perms.append(y)
                 names.append(f"g{k + 1}" if i == 0 else f"{names[i]}*g{k + 1}")
@@ -224,22 +226,24 @@ def group_from_permutations(
 
 
 def cyclic(m: int) -> FiniteGroup:
-    """Cyclic group of order m >= 2 with the single generator "x"."""
+    """Cyclic group of order 2 <= m <= DEFAULT_ORDER_CAP, generator "x"."""
     if m < 2:
         raise ValueError("cyclic group needs order >= 2 (no identity generators)")
+    _check_order(m)
     names = ["e", "x"] + [f"x{i}" for i in range(2, m)]
     table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
     return FiniteGroup(tuple(names), table, identity=0, generators=(1,))
 
 
 def dihedral(order: int) -> FiniteGroup:
-    """Dihedral group of the given even order 2m, m >= 3.
+    """Dihedral group of the given even order 2m, m >= 3, at most the cap.
 
     Elements are t^i * s^j with t the rotation of order m and s a
     reflection; generators are (t, s).
     """
     if order % 2 != 0 or order < 6:
         raise ValueError("dihedral group needs even order >= 6")
+    _check_order(order)
     m = order // 2
 
     def name(i: int, j: int) -> str:

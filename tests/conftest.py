@@ -5,6 +5,8 @@ strict order on indices 0..n-1 (edges only point upward, so acyclicity is
 free), close it transitively with plain set arithmetic, and keep the
 pairs not implied by any two-step path.  ``reference_refine`` is plain
 color refinement, kept as the reference the engine's refinement must match.
+``check_all_translations`` is the all-|G| reference for part 2 of the
+realization certificate, which checks the generators only.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import random
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from finspace import ColoredDigraph, Poset, make_digraph, make_poset
+from finspace import (
+    ColoredDigraph,
+    Poset,
+    induced_translation,
+    make_digraph,
+    make_poset,
+)
 
 settings.register_profile(
     "suite",
@@ -133,3 +141,20 @@ def reference_refine(d: ColoredDigraph, seed: dict | None = None) -> dict[str, i
             v: (colors[v], tuple(sorted((dr, c, colors[w]) for dr, c, w in incident[v])))
             for v in d.vertices
         }
+
+
+def check_all_translations(space) -> None:
+    """Every one of the |G| induced maps t_h is a bijection carrying covers
+    onto covers, the maps are pairwise distinct, and h -> t_h composes like
+    the table: t_{g*h} is t_g followed by t_h.  |G|^2 * n, small groups only."""
+    group = space.group
+    x = space.poset
+    covers = {(x._index[a], x._index[b]) for a, b in x.covers}
+    maps = [induced_translation(space, h) for h in range(group.order)]
+    for t in maps:
+        assert sorted(t) == list(range(len(x.points)))
+        assert all((t[a], t[b]) in covers for a, b in covers)
+    assert len(set(maps)) == group.order
+    for g, t_g in enumerate(maps):
+        for h, t_h in enumerate(maps):
+            assert maps[group.table[g][h]] == tuple(t_h[i] for i in t_g)

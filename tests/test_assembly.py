@@ -1,3 +1,4 @@
+import importlib
 import random
 from dataclasses import replace
 
@@ -22,7 +23,10 @@ from finspace import (
     make_poset,
     predicted_point_count,
     symmetric,
+    verify_realization,
 )
+
+engine = importlib.import_module("finspace.engine")
 
 CHAIN = make_poset(["lo", "mid", "hi"], [("lo", "mid"), ("mid", "hi")])
 
@@ -264,22 +268,28 @@ def test_induced_translation_matches_block_names(group):
         assert [points[i] for i in image] == [named[p] for p in points]
 
 
-def test_block_layout_rejects_broken_slots():
+def test_translation_follows_names_not_layout(monkeypatch):
     space = build_realization(cyclic(3))
     points = space.poset.points
+    # a block whose points are not contiguous, and a block listing its
+    # local names in another order than its slot: the map follows names
+    split = make_poset(points[1:] + points[:1], space.poset.covers)
+    swapped = make_poset(points[1::-1] + points[2:], space.poset.covers)
+    for poset in (split, swapped):
+        moved = RealizationSpace(poset, space.provenance, space.group)
+        named = _named_translation(moved, 1)
+        image = induced_translation(moved, 1)
+        assert [poset.points[i] for i in image] == [named[p] for p in poset.points]
     # two vertex blocks claiming the same element
     bad = {
         p: replace(info, element="e") if info.block == "vert[x]" else info
         for p, info in space.provenance.items()
     }
-    # a block whose points are not contiguous
-    split = make_poset(points[1:] + points[:1], space.poset.covers)
-    # a block listing its local names in another order than its slot
-    swapped = make_poset(points[1::-1] + points[2:], space.poset.covers)
-    for broken in (
-        RealizationSpace(space.poset, bad, space.group),
-        RealizationSpace(split, space.provenance, space.group),
-        RealizationSpace(swapped, space.provenance, space.group),
-    ):
-        with pytest.raises(ValueError, match="slot layout"):
-            induced_translation(broken, 1)
+    bad_space = RealizationSpace(space.poset, bad, space.group)
+    for h in range(3):
+        with pytest.raises(ValueError, match="claim one slot"):
+            induced_translation(bad_space, h)
+    # ... is never certified: x has no vertex block, so no generator passes
+    monkeypatch.setattr(engine, "build_realization", lambda group: bad_space)
+    report = verify_realization(space.group)
+    assert report.generators_valid == 0 and not report.passed

@@ -1,5 +1,6 @@
 import importlib
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_colored_digraph, reference_refine, seeded_digraphs
 from finspace import (
+    FiniteGroup,
+    RealizationSpace,
     asymmetric_block,
     automorphisms,
     brute_force_automorphisms,
@@ -436,17 +439,17 @@ def test_verify_realization_cyclic3():
     report = verify_realization(cyclic(3))
     assert report.passed
     assert report.point_count == 132
-    assert report.induced_valid == 3
+    assert report.generators_valid == 1
     assert report.engine_order == 3
     assert report.render().splitlines()[-1] == "order(Aut) = 3 = |G| : PASS"
     assert report.render() == verify_realization(cyclic(3)).render()
 
 
-def _swap_two(image, space):
+def _swap_two(image, space, s):
     image[0], image[1] = image[1], image[0]
 
 
-def _collapse_one(image, space):
+def _collapse_one(image, space, s):
     """Send point p to q's image, where q is above and below all that p is:
     every cover still lands on a cover, but the map is not injective."""
     x = space.poset
@@ -463,30 +466,68 @@ def _collapse_one(image, space):
     assert all((image[a], image[b]) in covers for a, b in covers)
 
 
-def _copy_other(image, space):
-    image[:] = induced_translation(space, 2)
+def _copy_other(image, space, s):
+    """t_{s*s}: an automorphism, but it moves vertex block g to g*s*s."""
+    image[:] = induced_translation(space, space.group.table[s][s])
 
 
 @pytest.mark.parametrize(
-    "mutate, valid, distinct",
-    [(_swap_two, 3, True), (_collapse_one, 3, True), (_copy_other, 4, False)],
+    "mutate",
+    [_swap_two, _collapse_one, _copy_other],
     ids=["swapped-pair", "repeated-entry", "image-of-other-h"],
 )
-def test_certificate_checks_every_translation(monkeypatch, mutate, valid, distinct):
-    """One broken map among the |G| induced translations fails part 2."""
+def test_certificate_checks_every_translation(monkeypatch, mutate):
+    """A broken generator translation fails part 2: a swapped pair breaks
+    an edge, a repeated entry only bijectivity, and t_{s*s} in place of
+    t_s only the vertex blocks' moves."""
     honest = engine.induced_translation
 
-    def mutant(space, h):
-        image = list(honest(space, h))
-        if h == 1:
-            mutate(image, space)
+    def mutant(space, s):
+        image = list(honest(space, s))
+        mutate(image, space, s)
         return tuple(image)
 
     monkeypatch.setattr(engine, "induced_translation", mutant)
     report = verify_realization(cyclic(4))
-    assert report.induced_valid == valid
-    assert report.induced_distinct is distinct
-    assert report.engine_order == 4 and not report.passed
+    assert report.generators_valid == 0
+    assert report.minimal and report.engine_order == 4 and not report.passed
+
+
+def test_certificate_rejects_translations_of_another_group(monkeypatch):
+    """C4's space and true translations, labelled with V4's table under
+    C4's element names.  Each map is an automorphism and |Aut| = 4 = |V4|,
+    but t_x moves the vertex block of x to x2, not to x*x = e in V4."""
+    c4 = build_realization(cyclic(4))
+    v4 = klein_four()
+    v4 = FiniteGroup(c4.group.elements, v4.table, v4.identity, generators=(1, 2))
+    monkeypatch.setattr(
+        engine, "build_realization",
+        lambda group: RealizationSpace(c4.poset, c4.provenance, group),
+    )
+    monkeypatch.setattr(
+        engine, "induced_translation", lambda space, h: induced_translation(c4, h)
+    )
+    report = verify_realization(v4)
+    assert report.minimal and report.engine_order == 4
+    assert not report.passed
+    assert report.generators_valid == 1  # x2 moves blocks alike in C4 and V4
+
+
+def test_certificate_needs_the_vertex_blocks(monkeypatch):
+    """With the vertex blocks relabelled, each t_s is still an automorphism,
+    but no vertex block ties it to G, so part 2 passes no generator."""
+    space = build_realization(cyclic(4))
+    hidden = {
+        p: replace(info, kind="hidden") if info.kind == "vertex" else info
+        for p, info in space.provenance.items()
+    }
+    monkeypatch.setattr(
+        engine, "build_realization",
+        lambda group: RealizationSpace(space.poset, hidden, group),
+    )
+    report = verify_realization(space.group)
+    assert report.generators_valid == 0
+    assert report.minimal and report.engine_order == 4 and not report.passed
 
 
 def test_verify_realization_budget():

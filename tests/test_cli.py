@@ -175,6 +175,12 @@ def test_verify_budget_exceeded(capsys):
     assert "2352" in err
 
 
+def test_verify_group_over_order_cap(capsys):
+    code, _, err = run(capsys, "verify", "cyclic:100000")
+    assert code == 2
+    assert "group too large" in err
+
+
 def test_verify_with_raised_budget(capsys):
     code, out, _ = run(capsys, "verify", "cyclic:4", "--budget", "500")
     assert code == 0

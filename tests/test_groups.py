@@ -10,7 +10,7 @@ from finspace import (
     right_translation,
     symmetric,
 )
-from finspace.groups import _compose, cycle_name
+from finspace.groups import DEFAULT_ORDER_CAP, _compose, cycle_name
 
 
 # -- enumeration from permutations -----------------------------------------
@@ -57,6 +57,15 @@ def test_symmetric_shares_the_order_cap():
     # S8 has 40320 elements; the cap stops enumeration before any table
     with pytest.raises(ValueError, match="group too large"):
         symmetric(8)
+
+
+def test_cyclic_and_dihedral_refuse_orders_over_the_cap():
+    # checked before the |G| x |G| table is built
+    with pytest.raises(ValueError, match="group too large"):
+        cyclic(DEFAULT_ORDER_CAP + 1)
+    with pytest.raises(ValueError, match="group too large"):
+        dihedral(2 * DEFAULT_ORDER_CAP + 2)
+    assert cyclic(2).order == 2 and dihedral(6).order == 6
 
 
 def _assert_composition_table(g, perms):
