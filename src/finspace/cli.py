@@ -194,6 +194,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.budget < 1:
+        raise UsageError("--budget must be a positive number of points")
     group = parse_group_spec(args.group)
     report = verify_realization(group, budget=args.budget)
     print(report.render())

@@ -21,7 +21,10 @@ left one, so the left path is also the right root and the identity
 branch: alternatives tried at depth d, deepest first, yield generators
 fixing the first d base points; one union-find forest of their orbits
 prunes redundant branches, and the group order is the product of the
-base-point orbit sizes.  Every map emitted by the search is checked by one
+base-point orbit sizes.  Automorphisms known beforehand (verify passes the
+certified translations t_s) join the forest before depth 0 and prune its
+candidates; that no further map exists, the upper bound, is still decided
+by the search alone.  Every map emitted by the search is checked by one
 edge test, ``_carries``, and against the seed coloring, so refinement is a
 pruning device, never a source of truth.  The same edge test serves a
 factorial-time oracle over all vertex bijections, for cross-validation on
@@ -264,11 +267,18 @@ class _PairSearch:
 
     # automorphism mode (requires a and b to be the same digraph)
 
-    def automorphism_group(self) -> AutGroup:
+    def automorphism_group(self, known=()) -> AutGroup:
         """A generator found at depth d fixes base[:d].  Depths run deepest
         first, so the forest holds the orbits of generators that all fix
         base[:d], and once depth d is done, base[d]'s class in it is its
-        orbit under the pointwise stabilizer of base[:d]."""
+        orbit under the pointwise stabilizer of base[:d].  Known maps fix
+        no base point, so they join the forest just before depth 0's
+        candidates are tried, and only prune there."""
+        known = [tuple(sigma) for sigma in known]
+        every = list(range(self.n))
+        for sigma in known:
+            if sorted(sigma) != every or not _carries(sigma, self.edges_a, self.edges_a):
+                raise ValueError("a known map is not an automorphism of the digraph")
         parent = list(range(self.n))
 
         def find(x: int) -> int:
@@ -276,32 +286,40 @@ class _PairSearch:
                 parent[x] = x = parent[parent[x]]
             return x
 
-        gens: list[VertexPerm] = []
+        def join(sigma: VertexPerm) -> None:
+            for x, y in enumerate(sigma):
+                parent[find(x)] = find(y)
+
+        gens: list[VertexPerm] = list(known)
         order = 1
         for depth in reversed(range(len(self.base))):
             v = self.base[depth]
             colors, cells = state = self.path[depth][0]
             cell = sorted(cells[colors[v]])
+            for sigma in known if depth == 0 else ():
+                join(sigma)
             for w in cell:
                 if find(w) == find(v):
                     continue
                 sigma = self._branch(depth, state, w)
                 if sigma is not None:
                     gens.append(sigma)
-                    for x, y in enumerate(sigma):
-                        parent[find(x)] = find(y)
+                    join(sigma)
             order *= sum(find(w) == find(v) for w in cell)
         return AutGroup(generators=tuple(sorted(gens)), order=order)
 
 
-def automorphisms(d: ColoredDigraph) -> AutGroup:
+def automorphisms(d: ColoredDigraph, known=()) -> AutGroup:
     """Automorphism group of the colored digraph.
 
     Generators come out of the refinement-pruned backtracking search; the
     order is the product of base-point orbit sizes under the generators
-    found at or below each branching depth (orbit-stabilizer).
+    found at or below each branching depth (orbit-stabilizer).  ``known``
+    automorphisms, each checked to be one (else ``ValueError``), are
+    reported as generators and prune the depth-0 candidates in their
+    orbits; the search alone still decides that no other map exists.
     """
-    return _PairSearch(d, d).automorphism_group()
+    return _PairSearch(d, d).automorphism_group(known)
 
 
 def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
@@ -407,7 +425,8 @@ def verify_realization(
     representation, of order |G| as the generators generate G.  So
     |H| >= |G| = |Aut(X)| by (3): H = Aut(X), and its action on the vertex
     blocks is an isomorphism onto rho(G), a copy of G.  Nothing assumes
-    that h -> t_h is a homomorphism.
+    that h -> t_h is a homomorphism.  The engine is given the t_s that pass
+    (2), which prune its depth-0 orbits; (3)'s upper bound is its search's.
     """
     size = predicted_point_count(group)
     if size > budget:
@@ -418,6 +437,7 @@ def verify_realization(
     space = build_realization(group)
     x = space.poset
     d = hasse_digraph(x)
+    valid = _check_generators(space, d._edge_indices)
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
@@ -425,15 +445,15 @@ def verify_realization(
         cover_count=len(x.covers),
         inventory=tuple(space.block_inventory().items()),
         minimal=is_minimal(x),
-        generators_valid=_check_generators(space, d._edge_indices),
-        engine_order=automorphisms(d).order,
+        generators_valid=len(valid),
+        engine_order=automorphisms(d, valid).order,
     )
 
 
-def _check_generators(space: RealizationSpace, edges) -> int:
-    """Part 2: how many generators s have a translation t_s that permutes
-    the point indices, carries every edge onto an edge, and maps each point
-    of the vertex block of g into that of g*s.  Vertex blocks come from the
+def _check_generators(space: RealizationSpace, edges) -> list[VertexPerm]:
+    """Part 2: the translations t_s of the generators s that permute the
+    point indices, carry every edge onto an edge, and map each point of the
+    vertex block of g into that of g*s.  Vertex blocks come from the
     provenance; with one of them empty, no generator passes."""
     group = space.group
     elem = {x: g for g, x in enumerate(group.elements)}
@@ -441,15 +461,16 @@ def _check_generators(space: RealizationSpace, edges) -> int:
     vertex = [elem.get(i.element) if i.kind == "vertex" else None for i in infos]
     blocks = [(x, g) for x, g in enumerate(vertex) if g is not None]
     if {g for _, g in blocks} != set(range(group.order)):
-        return 0
-    valid = 0
+        return []
+    valid = []
     for s in group.generators:
         image = induced_translation(space, s)
-        valid += (
+        if (
             sorted(image) == list(range(len(vertex)))
             and _carries(image, edges, edges)
             and all(vertex[image[x]] == group.table[g][s] for x, g in blocks)
-        )
+        ):
+            valid.append(image)
     return valid
 
 
@@ -516,8 +537,9 @@ class FamilyReport:
 def family_checks(k_max: int) -> FamilyReport:
     """Check blocks 0..k_max: minimal, asymmetric, connected, sizes distinct.
 
-    Distinct point counts make the blocks pairwise non-homeomorphic, and
-    minimality upgrades that to pairwise inequivalence up to homotopy.
+    Distinct point counts make the blocks pairwise non-homeomorphic, and by
+    minimality pairwise not homotopy equivalent.  That they are pairwise
+    not weakly homotopy equivalent is not checked yet.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

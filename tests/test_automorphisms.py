@@ -29,6 +29,7 @@ from finspace import (
     make_digraph,
     make_poset,
     refine,
+    symmetric,
     verify_realization,
 )
 
@@ -285,9 +286,7 @@ def test_automorphisms_refine_the_root_once(monkeypatch):
     assert calls == [1]
 
 
-def test_orbit_pruning_skips_images_of_found_generators(monkeypatch):
-    """On a directed 7-cycle the first rotation found carries the base point
-    to every other candidate, so one branch is tried, not six."""
+def _count_branches(monkeypatch) -> list:
     branches = []
     branch = engine._PairSearch._branch
     monkeypatch.setattr(
@@ -295,11 +294,54 @@ def test_orbit_pruning_skips_images_of_found_generators(monkeypatch):
         "_branch",
         lambda self, *args: branches.append(args[-1]) or branch(self, *args),
     )
+    return branches
+
+
+def test_orbit_pruning_skips_images_of_found_generators(monkeypatch):
+    """On a directed 7-cycle the first rotation found carries the base point
+    to every other candidate, so one branch is tried, not six."""
+    branches = _count_branches(monkeypatch)
     names = [f"v{i}" for i in range(7)]
     cycle = make_digraph(names, [(names[i], names[(i + 1) % 7], 1) for i in range(7)])
     group = automorphisms(cycle)
     assert (group.order, len(group.generators)) == (7, 1)
     assert len(branches) == 1
+
+
+@given(seeded_digraphs(max_vertices=6), st.data())
+def test_known_automorphisms_keep_the_order(drawn, data):
+    """Seeding the search with any of the oracle's automorphisms changes
+    what it prunes, never the order it reports."""
+    d, _ = drawn
+    assert len(d.vertices) <= engine.ORACLE_VERTEX_LIMIT
+    oracle = brute_force_automorphisms(d)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(oracle.generators),
+                              max_size=len(oracle.generators)))
+    known = [g for g, keep in zip(oracle.generators, mask) if keep]
+    seeded = automorphisms(d, known)
+    assert seeded.order == oracle.order
+    assert set(known) <= set(seeded.generators)
+    assert automorphisms(d, ()) == automorphisms(d)
+
+
+def test_known_automorphisms_prune_depth_zero_only():
+    """The Shrikhande graph (Cayley graph of Z4 x Z4), with a non-neighbour
+    of the first vertex second: once the first is individualized, its nine
+    non-neighbours stay one class, on which its stabilizer (order 12) is
+    not transitive.  Known maps that move the first vertex must not prune
+    there, or the order comes out 576."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    first = [(0, 0), (2, 2)]
+    name = "p{}{}".format
+    d = make_digraph(
+        [name(a, b) for a, b in first + [c for c in cells if c not in first]],
+        [(name(a, b), name((a + x) % 4, (b + y) % 4), 1)
+         for a, b in cells for x, y in steps],
+    )
+    group = automorphisms(d)
+    assert group.order == 192
+    assert automorphisms(d, group.generators).order == 192
 
 
 # -- isomorphism search -----------------------------------------------------
@@ -491,6 +533,56 @@ def test_certificate_checks_every_translation(monkeypatch, mutate):
     report = verify_realization(cyclic(4))
     assert report.generators_valid == 0
     assert report.minimal and report.engine_order == 4 and not report.passed
+
+
+@pytest.mark.parametrize(
+    "mutate", [_swap_two, _collapse_one], ids=["swapped-pair", "repeated-entry"]
+)
+def test_known_maps_are_checked(mutate):
+    """The engine takes no known map on trust: a swapped pair breaks an
+    edge, and a repeated entry carries every edge but is no bijection."""
+    space = build_realization(cyclic(4))
+    d = hasse_digraph(space.poset)
+    t_s = induced_translation(space, space.group.generators[0])
+    image = list(t_s)
+    mutate(image, space, space.group.generators[0])
+    assert automorphisms(d, [t_s]).order == 4
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphisms(d, [t_s, tuple(image)])
+
+
+@pytest.mark.parametrize("group", [cyclic(12), dihedral(8), klein_four()],
+                         ids=["cyclic:12", "dihedral:8", "klein"])
+def test_certified_translations_prune_every_branch(monkeypatch, group):
+    """The root classes are the translation orbits, so with the t_s known
+    verify tries no candidate image; alone, the search must branch."""
+    branches = _count_branches(monkeypatch)
+    assert verify_realization(group).passed
+    assert branches == []
+    automorphisms(hasse_digraph(build_realization(group).poset))
+    assert branches
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(2), cyclic(3), cyclic(4), klein_four(), dihedral(6), dihedral(8),
+     symmetric(3), cyclic(12), cyclic(24), cyclic(48), symmetric(4)],
+    ids=["cyclic:2", "cyclic:3", "cyclic:4", "klein", "dihedral:6", "dihedral:8",
+         "symmetric:3", "cyclic:12", "cyclic:24", "cyclic:48", "symmetric:4"],
+)
+def test_engine_generators_are_the_certified_translations(monkeypatch, group):
+    """Every automorphism the engine reports is a checked translation t_s;
+    only the search's completeness, the upper bound, is taken from it."""
+    found = []
+    search = engine.automorphisms
+    monkeypatch.setattr(
+        engine, "automorphisms", lambda *args: found.append(search(*args)) or found[-1]
+    )
+    report = verify_realization(group, budget=2400)
+    assert report.passed
+    space = build_realization(group)
+    t_s = [induced_translation(space, s) for s in group.generators]
+    assert [aut.generators for aut in found] == [tuple(sorted(t_s))]
 
 
 def test_certificate_rejects_translations_of_another_group(monkeypatch):

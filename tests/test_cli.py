@@ -187,6 +187,13 @@ def test_verify_with_raised_budget(capsys):
     assert out.strip().splitlines()[-1] == "order(Aut) = 4 = |G| : PASS"
 
 
+def test_verify_rejects_non_positive_budget(capsys):
+    for budget in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "cyclic:3", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert "--budget must be a positive number of points" in err
+
+
 def test_family_check(capsys):
     code, out, _ = run(capsys, "family-check", "2")
     assert code == 0
@@ -224,6 +231,20 @@ def test_outputs_identical_across_hash_seeds(capsys, tmp_path):
         ])
     assert outputs[0] == outputs[1]
     assert outputs[0][0].strip().endswith("PASS")
+
+
+def test_realization_sweep_script_passes():
+    """scripts/realization_sweep.py runs every small group through the
+    pipeline, the redundant generating set of cyclic:3 included."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "realization_sweep.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = done.stdout.splitlines()[2:]
+    assert [row.split()[-2] for row in rows] == ["PASS"] * 11
 
 
 def test_help_exits_zero(capsys):
