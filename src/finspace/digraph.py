@@ -13,10 +13,6 @@ from functools import cached_property
 
 Edge = tuple[str, str, int]
 
-# direction tags used in incidence lists
-OUT = 0
-IN = 1
-
 
 @dataclass(frozen=True)
 class ColoredDigraph:
@@ -45,13 +41,24 @@ class ColoredDigraph:
         return frozenset((idx[s], idx[t], c) for s, t, c in self.edges)
 
     @cached_property
-    def _incidence(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per vertex: sorted (direction, color, other-endpoint) triples."""
-        inc: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
+    def _incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(nbrs, offsets): per vertex, its edges' other endpoints and, at the
+        same positions, n times the rank of each edge's (direction, color)
+        channel among this digraph's channels, outgoing before incoming.
+        With class names below n, ``offset + class`` sorts as the
+        (direction, color, class) triple does."""
+        n = len(self.vertices)
+        colors = sorted({c for _, _, c in self._edge_indices})
+        out = {c: i * n for i, c in enumerate(colors)}
+        into = {c: (len(colors) + i) * n for i, c in enumerate(colors)}
+        nbrs: list[list[int]] = [[] for _ in self.vertices]
+        offsets: list[list[int]] = [[] for _ in self.vertices]
         for s, t, c in self._edge_indices:
-            inc[s].append((OUT, c, t))
-            inc[t].append((IN, c, s))
-        return tuple(tuple(sorted(entries)) for entries in inc)
+            nbrs[s].append(t)
+            offsets[s].append(out[c])
+            nbrs[t].append(s)
+            offsets[t].append(into[c])
+        return tuple(map(tuple, nbrs)), tuple(map(tuple, offsets))
 
     def __len__(self) -> int:
         return len(self.vertices)

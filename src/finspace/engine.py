@@ -4,12 +4,15 @@ All color refinement runs through one loop, ``_settle``, on one ordered
 partition (McKay and Piperno, "Practical graph isomorphism, II", 2014):
 ``colors[v]`` names v's class by where it starts and ``cells`` maps each
 name to its members.  A round splits classes by the multiset of
-(direction, edge color, neighbor class) over incident edges; a split's
-first part keeps the class name and each later part is named by its own
-start, so no other class is renamed.  Only the vertices next to a part
-split off are re-signed, each split class's largest part excepted (the
-"smaller half" rule of Berkholz, Bonsma and Grohe, ESA 2013).  ``_refine``
-starts from seed keys and ``_split`` splits one vertex off its class.
+(direction, edge color, neighbor class) over incident edges, each encoded
+as one integer, channel offset plus class name (see
+``ColoredDigraph._incidence``), so a signature is a C-level sort of ints;
+a split's first part keeps the class name and each later part is named by
+its own start, so no other class is renamed.  Only the vertices next to a
+part split off are re-signed, each split class's largest part excepted
+(the "smaller half" rule of Berkholz, Bonsma and Grohe, ESA 2013).
+``_refine`` starts from seed keys and ``_split`` splits one vertex off its
+class.
 
 The search individualizes a vertex and refines again.  The left digraph
 always individualizes the smallest vertex of a non-singleton class, so its
@@ -43,8 +46,10 @@ sorted by image tuple.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import filterfalse, permutations
+from operator import add
 
 from .assembly import (
     RealizationSpace,
@@ -114,18 +119,21 @@ def _split(inc, colors: list[int], cells: dict, v: int, target: list | None = No
     colors[v] = c + len(rest)
     cells = {**cells, c: rest, colors[v]: [v]}
     entry = (((c, (len(rest), 1)),), 0)
-    return _settle(inc, colors, cells, {w for _, _, w in inc[v]}, entry, target)
+    return _settle(inc, colors, cells, set(inc[0][v]), entry, target)
 
 
 def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
     """Refine the ordered partition (colors, cells) until it is equitable.
 
-    Each round signs the ``dirty`` vertices (sorted (direction, edge
-    color, neighbor class) triples) and splits each class by rank of its
-    members' signatures, as plain color refinement does.  A member not
-    re-signed has every neighbor in a split class inside its largest part,
-    so it shares its classmates' counts and the signature of any untouched
-    one.  Part lists are never changed once built.
+    Each round signs the ``dirty`` vertices and splits each class by rank
+    of its members' signatures, as plain color refinement does.  With
+    ``inc`` a digraph's ``_incidence`` (nbrs, offsets), v's signature is
+    the sorted ``offset + colors[w]`` over its edges to w: class names are
+    below n, so these ints sort as (direction, edge color, neighbor class)
+    triples would.  A member not re-signed has every neighbor in a split
+    class inside its largest part, so it shares its classmates' counts and
+    the signature of any untouched one.  Part lists are never changed once
+    built.
 
     Each round appends (the split classes with their part sizes, hash of
     the sorted signatures of each class with a re-signed member) to the
@@ -136,9 +144,11 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
     differs from ``target``'s.
     """
     trace: list = []
+    nbrs, offsets = inc
+    name = colors.__getitem__
 
     def sign(v: int) -> tuple:
-        return tuple(sorted((d, e, colors[w]) for d, e, w in inc[v]))
+        return tuple(sorted(map(add, offsets[v], map(name, nbrs[v]))))
 
     while True:
         if target is not None and target[len(trace)] != entry:
@@ -156,7 +166,7 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
                 parts.setdefault(sign(v), []).append(v)
             if len(touched[c]) < len(cells[c]):
                 marked = set(touched[c])
-                rest = [u for u in cells[c] if u not in marked]
+                rest = list(filterfalse(marked.__contains__, cells[c]))
                 parts.setdefault(sign(rest[0]), []).extend(rest)
             order = sorted(parts)
             signed.append((c, tuple(order)))
@@ -171,7 +181,7 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
                     colors[v] = c
                 if part is not largest:
                     for v in part:
-                        dirty.update(w for _, _, w in inc[v])
+                        dirty.update(nbrs[v])
                 c += len(part)
         sizes = tuple((c, tuple(map(len, parts))) for c, parts in split)
         entry = (sizes, hash(tuple(signed)))
@@ -260,7 +270,11 @@ class _PairSearch:
         return None
 
     def find_isomorphism(self) -> VertexPerm | None:
-        if self.n != len(self.inc_b) or len(self.edges_a) != len(self.edges_b):
+        """Equal edge-color multisets give both sides the same channel ranks
+        in their incidence offsets, so signatures compare across sides."""
+        if self.n != len(self.keys_b):
+            return None
+        if Counter(c for *_, c in self.edges_a) != Counter(c for *_, c in self.edges_b):
             return None
         root = _refine(self.inc_b, self.keys_b, self.path[0][1])
         return None if root is None else self._find(0, root[0])
@@ -427,7 +441,10 @@ def verify_realization(
     blocks is an isomorphism onto rho(G), a copy of G.  Nothing assumes
     that h -> t_h is a homomorphism.  The engine is given the t_s that pass
     (2), which prune its depth-0 orbits; (3)'s upper bound is its search's.
+    A budget below 1 raises ``ValueError`` before any work.
     """
+    if budget < 1:
+        raise ValueError("budget must be a positive number of points")
     size = predicted_point_count(group)
     if size > budget:
         raise ValueError(

@@ -157,6 +157,24 @@ def _refine_relabelled(a, keys_a, pi):
     return check, check((keys_a,), (keys_b,))
 
 
+@pytest.mark.parametrize(
+    "group, traces, classes",
+    [
+        (cyclic(12), [4, 25], 44),
+        (cyclic(48), [4, 97], 44),
+        (symmetric(4), [4, 25], 98),
+        (dihedral(24), [4, 29], 98),
+    ],
+    ids=["cyclic:12", "cyclic:48", "symmetric:4", "dihedral:24"],
+)
+def test_refinement_sequence_on_the_ladder(group, traces, classes):
+    """Trace lengths along the left path and the root class count on the
+    verify ladder, pinned so that a faster refinement cannot change them."""
+    d = hasse_digraph(build_realization(group).poset)
+    assert [len(t) for _, t in engine._PairSearch(d, d).path] == traces
+    assert len(set(refine(d).vertex_class.values())) == classes
+
+
 def test_refine_matches_reference_over_many_rounds():
     """Deep enough for skipping each split class's largest part to matter;
     a shuffled copy follows the same trace to the same classes."""
@@ -364,6 +382,36 @@ def test_isomorphism_between_respects_colors():
     assert isomorphism_between(one, other) is None
 
 
+def _count_leaves(monkeypatch) -> list:
+    leaves = []
+    extract = engine._PairSearch._extract
+    monkeypatch.setattr(
+        engine._PairSearch,
+        "_extract",
+        lambda self, col_b: leaves.append(1) or extract(self, col_b),
+    )
+    return leaves
+
+
+def test_edge_colors_prune_before_any_leaf(monkeypatch):
+    """Signatures use per-digraph channel ranks, so a renamed color would
+    refine alike on both sides; the color check refuses it before refining."""
+    leaves = _count_leaves(monkeypatch)
+    a = cayley_graph(dihedral(6))
+    assert {c for _, _, c in a.edges} == {1, 2}
+    b = make_digraph(a.vertices, [(s, t, 7 if c == 2 else c) for s, t, c in a.edges])
+    assert isomorphism_between(a, b) is None
+    assert leaves == []
+
+
+def test_isomorphism_between_needs_equal_vertex_counts():
+    small = make_digraph(["a", "b"], [("a", "b", 1)])
+    large = make_digraph(["a", "b", "c"], [("a", "b", 1)])
+    assert isomorphism_between(small, large) is None
+    assert isomorphism_between(large, small) is None
+    assert isomorphism_between(large, large) is not None
+
+
 def test_isomorphism_between_seeds_with_equal_hashes():
     """Seed multisets that hash alike (in CPython hash(-1) == hash(-2))."""
     a = make_digraph(["x", "y"], [])
@@ -424,13 +472,7 @@ def test_refinement_only_prunes(monkeypatch):
 
 def test_trace_pruning_reaches_no_leaf(monkeypatch):
     """Non-isomorphic realization spaces are refuted by traces, not leaves."""
-    leaves = []
-    extract = engine._PairSearch._extract
-    monkeypatch.setattr(
-        engine._PairSearch,
-        "_extract",
-        lambda self, col_b: leaves.append(1) or extract(self, col_b),
-    )
+    leaves = _count_leaves(monkeypatch)
     c4 = group_from_permutations([[1, 2, 3, 0], [3, 0, 1, 2]])
     c2c4 = direct_product(cyclic(2), cyclic(4))
     for g, h in [(klein_four(), c4), (c2c4, dihedral(8))]:
@@ -630,6 +672,16 @@ def test_verify_realization_budget():
     report = verify_realization(symmetric(4), budget=3000)
     assert report.point_count == 2352
     assert report.passed
+
+
+@pytest.mark.parametrize("budget", [0, -3, 0.5])
+def test_verify_realization_rejects_a_budget_below_one(monkeypatch, budget):
+    def fail(group):
+        raise AssertionError("sized the space before checking the budget")
+
+    monkeypatch.setattr(engine, "predicted_point_count", fail)
+    with pytest.raises(ValueError, match="^budget must be a positive number of points$"):
+        verify_realization(cyclic(3), budget=budget)
 
 
 def test_inventory_counts_are_block_counts():
