@@ -52,17 +52,18 @@ class BlockPlan:
             raise ValueError("cyclic block connections")
 
 
+def _at_level(p: Poset, level: int) -> list[int]:
+    return [i for i, lvl in enumerate(p._levels) if lvl == level]
+
+
 def first_level(p: Poset) -> tuple[str, ...]:
     """Points at level 1."""
-    return tuple(x for i, x in enumerate(p.points) if p._levels[i] == 1)
+    return tuple(p.points[i] for i in _at_level(p, 1))
 
 
 def last_level(p: Poset) -> tuple[str, ...]:
     """Points at the maximal level (not the same as maximal points)."""
-    if not p.points:
-        return ()
-    top = max(p._levels)
-    return tuple(x for i, x in enumerate(p.points) if p._levels[i] == top)
+    return tuple(p.points[i] for i in _at_level(p, max(p._levels, default=0)))
 
 
 def block_replace(x_space: Poset, x: str, block: Poset) -> Poset:
@@ -103,17 +104,21 @@ def block_replace(x_space: Poset, x: str, block: Poset) -> Poset:
 
 def assemble(plan: BlockPlan) -> Poset:
     """Disjoint union of the blocks, points prefixed "<block>/", plus the
-    complete bipartite covers demanded by each connection."""
+    complete bipartite covers demanded by each connection.  Points come
+    block by block in plan order, each block's in its own order."""
     points: list[str] = []
-    covers: set[tuple[str, str]] = set()
+    up: list[list[int]] = []
+    start: dict[str, int] = {}
     for bname, block in plan.blocks.items():
+        base = start[bname] = len(points)
         points.extend(f"{bname}/{p}" for p in block.points)
-        covers.update((f"{bname}/{a}", f"{bname}/{b}") for a, b in block.covers)
-    for lo, hi in sorted(plan.connections):
-        tops = last_level(plan.blocks[lo])
-        bottoms = first_level(plan.blocks[hi])
-        covers.update((f"{lo}/{a}", f"{hi}/{b}") for a in tops for b in bottoms)
-    return make_poset(points, covers)
+        up.extend([base + j for j in ys] for ys in block.up)
+    for lo, hi in plan.connections:
+        bottoms = [start[hi] + j for j in _at_level(plan.blocks[hi], 1)]
+        lower = plan.blocks[lo]
+        for i in _at_level(lower, max(lower._levels, default=0)):
+            up[start[lo] + i].extend(bottoms)
+    return Poset(tuple(points), tuple(tuple(sorted(ys)) for ys in up))
 
 
 @dataclass(frozen=True)
@@ -184,19 +189,14 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
     family = [asymmetric_block(k) for k in range(3 * n + 1)]  # immutable, shared
     blocks: dict[str, Poset] = {}
     connections: set[tuple[str, str]] = set()
-    info: list[tuple[str, BlockInfo]] = []
+    info: list[BlockInfo] = []
 
     def vert_name(g: int) -> str:
         return f"vert[{group.elements[g]}]"
 
     for g in range(group.order):
         blocks[vert_name(g)] = family[0]
-        info.append(
-            (
-                vert_name(g),
-                BlockInfo("vertex", 0, vert_name(g), group.elements[g], None, None),
-            )
-        )
+        info.append(BlockInfo("vertex", 0, vert_name(g), group.elements[g], None, None))
     for k, gen in enumerate(group.generators, start=1):
         for g in range(group.order):
             target = group.table[gen][g]
@@ -206,9 +206,9 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
             blocks[d_name] = family[2 * n + k]
             src_el = group.elements[g]
             dst_el = group.elements[target]
-            info.append((e_name, BlockInfo("edge", k, e_name, src_el, k, dst_el)))
-            info.append((s_name, BlockInfo("start", n + k, s_name, src_el, k, dst_el)))
-            info.append((d_name, BlockInfo("end", 2 * n + k, d_name, src_el, k, dst_el)))
+            info.append(BlockInfo("edge", k, e_name, src_el, k, dst_el))
+            info.append(BlockInfo("start", n + k, s_name, src_el, k, dst_el))
+            info.append(BlockInfo("end", 2 * n + k, d_name, src_el, k, dst_el))
             connections.add((vert_name(g), s_name))
             connections.add((e_name, s_name))
             connections.add((vert_name(target), d_name))
@@ -216,10 +216,9 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
 
     plan = BlockPlan(blocks=blocks, connections=frozenset(connections))
     poset = assemble(plan)
-    provenance: dict[str, BlockInfo] = {}
-    for bname, binfo in info:
-        for p in blocks[bname].points:
-            provenance[f"{bname}/{p}"] = binfo
+    # assemble lists points block by block, and info holds the blocks in order.
+    per_point = (binfo for binfo in info for _ in blocks[binfo.block].points)
+    provenance = dict(zip(poset.points, per_point))
     return RealizationSpace(poset=poset, provenance=provenance, group=group)
 
 

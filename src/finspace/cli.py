@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .assembly import build_realization
 from .blocks import asymmetric_block
@@ -41,7 +42,6 @@ from .groups import (
 from .poset import (
     Poset,
     hasse_degree,
-    level_of,
     poset_from_json_dict,
     poset_to_dot,
     poset_to_json,
@@ -93,11 +93,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
 
 def _level_sizes(p: Poset) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-    for x in p.points:
-        lvl = level_of(p, x)
-        sizes[lvl] = sizes.get(lvl, 0) + 1
-    return dict(sorted(sizes.items()))
+    return dict(sorted(Counter(p._levels).items()))
 
 
 # -- subcommands --------------------------------------------------------

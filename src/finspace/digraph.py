@@ -1,8 +1,10 @@
 """Directed graphs with integer edge colors.
 
 The shared language for group Cayley graphs and Hasse diagrams: a vertex
-list plus a set of (source, target, color) triples.  Values are immutable
-and hashable; adjacency structures are cached on first use.
+list plus a set of (source index, target index, color) arcs.  Names are
+labels, for I/O and for ``make_digraph``, which takes edges by name.
+Values are immutable and hashable; adjacency structures are cached on
+first use.
 """
 
 from __future__ import annotations
@@ -17,28 +19,25 @@ Edge = tuple[str, str, int]
 @dataclass(frozen=True)
 class ColoredDigraph:
     vertices: tuple[str, ...]
-    edges: frozenset[Edge]
+    arcs: frozenset[tuple[int, int, int]]
 
     def __post_init__(self) -> None:
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+        n = len(self.vertices)
+        if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex identifiers")
-        for s, t, c in self.edges:
+        for s, t, c in self.arcs:
+            if not (type(s) is type(t) is int and 0 <= s < n and 0 <= t < n):
+                raise ValueError(f"arc ({s!r}, {t!r}, {c!r}) has no such vertex")
             if s == t:
-                raise ValueError(f"self-loop on {s!r}")
-            if s not in seen or t not in seen:
-                raise ValueError(f"edge ({s!r}, {t!r}, {c}) uses an unknown vertex")
+                raise ValueError(f"self-loop on {self.vertices[s]!r}")
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _edge_indices(self) -> frozenset[tuple[int, int, int]]:
-        idx = self._index
-        return frozenset((idx[s], idx[t], c) for s, t, c in self.edges)
+    def edges(self) -> frozenset[Edge]:
+        """The arcs as (source, target, color) with vertex names."""
+        v = self.vertices
+        return frozenset((v[s], v[t], c) for s, t, c in self.arcs)
 
     @cached_property
     def _incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -48,12 +47,12 @@ class ColoredDigraph:
         With class names below n, ``offset + class`` sorts as the
         (direction, color, class) triple does."""
         n = len(self.vertices)
-        colors = sorted({c for _, _, c in self._edge_indices})
+        colors = sorted({c for _, _, c in self.arcs})
         out = {c: i * n for i, c in enumerate(colors)}
         into = {c: (len(colors) + i) * n for i, c in enumerate(colors)}
         nbrs: list[list[int]] = [[] for _ in self.vertices]
         offsets: list[list[int]] = [[] for _ in self.vertices]
-        for s, t, c in self._edge_indices:
+        for s, t, c in self.arcs:
             nbrs[s].append(t)
             offsets[s].append(out[c])
             nbrs[t].append(s)
@@ -64,20 +63,29 @@ class ColoredDigraph:
         return len(self.vertices)
 
     def __repr__(self) -> str:
-        colors = {c for _, _, c in self.edges}
+        colors = {c for _, _, c in self.arcs}
         return (
             f"ColoredDigraph({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges, {len(colors)} colors)"
+            f"{len(self.arcs)} edges, {len(colors)} colors)"
         )
 
 
 def make_digraph(vertices, edges) -> ColoredDigraph:
-    return ColoredDigraph(tuple(vertices), frozenset((s, t, int(c)) for s, t, c in edges))
+    """Build a validated ColoredDigraph from vertex names and edges (source
+    name, target name, color)."""
+    vertices = tuple(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    arcs = set()
+    for s, t, c in edges:
+        if s not in index or t not in index:
+            raise ValueError(f"edge ({s!r}, {t!r}, {c}) uses an unknown vertex")
+        arcs.add((index[s], index[t], c))
+    return ColoredDigraph(vertices, frozenset(arcs))
 
 
 def strip_colors(d: ColoredDigraph) -> ColoredDigraph:
     """Forget edge colors: every edge becomes color 1 (duplicates collapse)."""
-    return ColoredDigraph(d.vertices, frozenset((s, t, 1) for s, t, _ in d.edges))
+    return ColoredDigraph(d.vertices, frozenset((s, t, 1) for s, t, _ in d.arcs))
 
 
 def digraph_to_json_dict(d: ColoredDigraph) -> dict:

@@ -58,9 +58,9 @@ from .assembly import (
     predicted_point_count,
 )
 from .blocks import asymmetric_block
-from .digraph import ColoredDigraph, make_digraph
+from .digraph import ColoredDigraph
 from .groups import FiniteGroup
-from .poset import Poset, is_minimal, level_of
+from .poset import Poset, is_minimal
 
 VertexPerm = tuple[int, ...]
 
@@ -85,7 +85,8 @@ class Refinement:
 
 def hasse_digraph(p: Poset) -> ColoredDigraph:
     """The covering relation as a digraph, low to high, all edges color 1."""
-    return make_digraph(p.points, ((x, y, 1) for x, y in p.covers))
+    arcs = frozenset((i, j, 1) for i, ys in enumerate(p.up) for j in ys)
+    return ColoredDigraph(p.points, arcs)
 
 
 # -- refinement --------------------------------------------------------
@@ -226,8 +227,8 @@ class _PairSearch:
     def __init__(self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None):
         self.n = len(a.vertices)
         self.inc_b = b._incidence
-        self.edges_a = a._edge_indices
-        self.edges_b = b._edge_indices
+        self.edges_a = a.arcs
+        self.edges_b = b.arcs
         self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
         self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
         self.base: list[int] = []
@@ -343,7 +344,7 @@ def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
         raise ValueError(
             f"oracle limit: {n} vertices exceeds the cap of {ORACLE_VERTEX_LIMIT}"
         )
-    edges = d._edge_indices
+    edges = d.arcs
     found = [p for p in permutations(range(n)) if _carries(p, edges, edges)]
     identity = tuple(range(n))
     gens = tuple(sorted(p for p in found if p != identity))
@@ -371,13 +372,13 @@ def isomorphic(p: Poset, q: Poset) -> dict[str, str] | None:
     search runs over the Hasse digraphs seeded by (level, in, out) degree
     triples.
     """
-    if len(p.points) != len(q.points) or len(p.covers) != len(q.covers):
+    if len(p.points) != len(q.points) or sum(map(len, p.up)) != sum(map(len, q.up)):
         return None
     if sorted(p._levels) != sorted(q._levels):
         return None
-    seed_p = {x: (level_of(p, x), len(p._down[i]), len(p._up[i]))
+    seed_p = {x: (p._levels[i], len(p._down[i]), len(p.up[i]))
               for i, x in enumerate(p.points)}
-    seed_q = {x: (level_of(q, x), len(q._down[i]), len(q._up[i]))
+    seed_q = {x: (q._levels[i], len(q._down[i]), len(q.up[i]))
               for i, x in enumerate(q.points)}
     return isomorphism_between(hasse_digraph(p), hasse_digraph(q), seed_p, seed_q)
 
@@ -454,12 +455,12 @@ def verify_realization(
     space = build_realization(group)
     x = space.poset
     d = hasse_digraph(x)
-    valid = _check_generators(space, d._edge_indices)
+    valid = _check_generators(space, d.arcs)
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
         point_count=len(x.points),
-        cover_count=len(x.covers),
+        cover_count=len(d.arcs),
         inventory=tuple(space.block_inventory().items()),
         minimal=is_minimal(x),
         generators_valid=len(valid),
@@ -499,7 +500,7 @@ def _connected(p: Poset) -> bool:
     stack = list(seen)
     while stack:
         i = stack.pop()
-        for j in p._up[i] + p._down[i]:
+        for j in p.up[i] + p._down[i]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)

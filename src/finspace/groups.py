@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
-from .digraph import ColoredDigraph, make_digraph
+from .digraph import ColoredDigraph
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -328,11 +328,12 @@ def cayley_graph(g: FiniteGroup) -> ColoredDigraph:
     One edge (x, g_k * x) of color k per element x and generator g_k; a
     generator of order 2 yields antiparallel edge pairs of its color.
     """
-    edges = []
-    for k, gen in enumerate(g.generators, start=1):
-        for x in range(g.order):
-            edges.append((g.elements[x], g.elements[g.table[gen][x]], k))
-    return make_digraph(g.elements, edges)
+    arcs = frozenset(
+        (x, y, k)
+        for k, gen in enumerate(g.generators, start=1)
+        for x, y in enumerate(g.table[gen])
+    )
+    return ColoredDigraph(g.elements, arcs)
 
 
 def right_translation(g: FiniteGroup, h: int) -> Perm:

@@ -1,11 +1,12 @@
 """Finite partial orders represented by their covering relation.
 
 A finite T0 topological space is the same data as a finite poset, and a
-finite poset is stored here as its Hasse diagram: the set of points plus
-the covering pairs (x, y) with x < y and nothing strictly between.  All
-values are immutable; every operation below is a pure function, so posets
-can be shared freely across threads.  Poset isomorphism is a digraph
-search and lives with the search, in ``engine``.
+finite poset is stored here as its Hasse diagram: the point names plus,
+per point, the indices of its upper covers.  Names are labels, for I/O and
+for ``make_poset``, which takes covers by name.  All values are immutable;
+every operation below is a pure function, so posets can be shared freely
+across threads.  Poset isomorphism is a digraph search and lives with the
+search, in ``engine``.
 """
 
 from __future__ import annotations
@@ -21,33 +22,39 @@ Cover = tuple[str, str]
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset given by points and covering pairs.
+    """A finite poset given by points and upper covers.
 
-    ``covers`` holds pairs ``(x, y)`` meaning x is covered by y.  The pair
-    set must be exactly the covering relation of the order it generates:
-    irreflexive, acyclic, and with no pair that is implied by a longer
-    chain.  Violations raise ``ValueError`` at construction time.
+    ``up[i]`` is the sorted tuple of the indices of the points that cover
+    ``points[i]``.  The pairs must be exactly the covering relation of the
+    order they generate: irreflexive, acyclic, and with no pair that is
+    implied by a longer chain.  Violations raise ``ValueError`` at
+    construction time.
     """
 
     points: tuple[str, ...]
-    covers: frozenset[Cover]
+    up: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen = set(self.points)
-        if len(seen) != len(self.points):
+        n = len(self.points)
+        if len(set(self.points)) != n:
             raise ValueError("duplicate point identifiers")
-        for x, y in self.covers:
-            if x == y:
+        if len(self.up) != n:
+            raise ValueError(f"expected {n} tuples of upper covers, got {len(self.up)}")
+        for i, ys in enumerate(self.up):
+            x = self.points[i]
+            if ys != tuple(sorted(set(ys))):
+                raise ValueError(f"upper covers of {x!r} are not sorted and distinct")
+            if ys and (ys[0] < 0 or ys[-1] >= n):
+                raise ValueError(f"an upper cover of {x!r} is out of range")
+            if i in ys:
                 raise ValueError(f"reflexive cover ({x!r}, {x!r})")
-            if x not in seen or y not in seen:
-                raise ValueError(f"cover ({x!r}, {y!r}) uses an unknown point")
         # _strict_up raises on cycles; then reject any transitively implied pair.
         up = self._strict_up
-        for i in range(len(self.points)):
+        for i in range(n):
             beyond = 0
-            for j in self._up[i]:
+            for j in self.up[i]:
                 beyond |= up[j]
-            for j in self._up[i]:
+            for j in self.up[i]:
                 if beyond >> j & 1:
                     x, y = self.points[i], self.points[j]
                     raise ValueError(
@@ -62,22 +69,19 @@ class Poset:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def _up(self) -> tuple[tuple[int, ...], ...]:
-        """Upper covers of each point, as sorted index tuples."""
-        idx = self._index
-        out: list[list[int]] = [[] for _ in self.points]
-        for x, y in self.covers:
-            out[idx[x]].append(idx[y])
-        return tuple(tuple(sorted(s)) for s in out)
+    def covers(self) -> frozenset[Cover]:
+        """Covering pairs (x, y), x covered by y, by name."""
+        pts = self.points
+        return frozenset((pts[i], pts[j]) for i, ys in enumerate(self.up) for j in ys)
 
     @cached_property
     def _down(self) -> tuple[tuple[int, ...], ...]:
         """Lower covers of each point, as sorted index tuples."""
-        idx = self._index
         out: list[list[int]] = [[] for _ in self.points]
-        for x, y in self.covers:
-            out[idx[y]].append(idx[x])
-        return tuple(tuple(sorted(s)) for s in out)
+        for i, ys in enumerate(self.up):
+            for j in ys:
+                out[j].append(i)
+        return tuple(map(tuple, out))
 
     @cached_property
     def _topo(self) -> tuple[int, ...]:
@@ -91,7 +95,7 @@ class Poset:
         while ready:
             i = ready.pop()
             order.append(i)
-            for j in self._up[i]:
+            for j in self.up[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     ready.append(j)
@@ -105,7 +109,7 @@ class Poset:
         masks = [0] * len(self.points)
         for i in reversed(self._topo):
             m = 0
-            for j in self._up[i]:
+            for j in self.up[i]:
                 m |= 1 << j
                 m |= masks[j]
             masks[i] = m
@@ -124,7 +128,7 @@ class Poset:
         return len(self.points)
 
     def __repr__(self) -> str:
-        return f"Poset({len(self.points)} points, {len(self.covers)} covers)"
+        return f"Poset({len(self.points)} points, {sum(map(len, self.up))} covers)"
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,16 @@ class BeatReport:
 
 
 def make_poset(points, covers) -> Poset:
-    """Build a validated Poset from any iterables of points and pairs."""
-    return Poset(tuple(points), frozenset((x, y) for x, y in covers))
+    """Build a validated Poset from point names and name pairs (x, y), x
+    covered by y."""
+    points = tuple(points)
+    index = {x: i for i, x in enumerate(points)}
+    up: list[set[int]] = [set() for _ in points]
+    for x, y in covers:
+        if x not in index or y not in index:
+            raise ValueError(f"cover ({x!r}, {y!r}) uses an unknown point")
+        up[index[x]].add(index[y])
+    return Poset(points, tuple(tuple(sorted(ys)) for ys in up))
 
 
 def _require(p: Poset, x: str) -> int:
@@ -155,7 +167,7 @@ def level_of(p: Poset, x: str) -> int:
 def hasse_degree(p: Poset, x: str) -> int:
     """Number of covering pairs incident to x, counting both directions."""
     i = _require(p, x)
-    return len(p._up[i]) + len(p._down[i])
+    return len(p.up[i]) + len(p._down[i])
 
 
 def beat_points(p: Poset) -> BeatReport:
@@ -165,7 +177,7 @@ def beat_points(p: Poset) -> BeatReport:
     down beat.  For a poset this coincides with the order-theoretic
     condition that the strict up-set (down-set) has a minimum (maximum).
     """
-    up = frozenset(x for i, x in enumerate(p.points) if len(p._up[i]) == 1)
+    up = frozenset(x for i, x in enumerate(p.points) if len(p.up[i]) == 1)
     down = frozenset(x for i, x in enumerate(p.points) if len(p._down[i]) == 1)
     return BeatReport(up_beats=up, down_beats=down)
 
@@ -176,33 +188,27 @@ def is_minimal(p: Poset) -> bool:
     return not report.up_beats and not report.down_beats
 
 
-def _covers_from_strict_up(points: tuple[str, ...], masks: list[int]) -> frozenset[Cover]:
-    """Covering pairs of the strict order given as up-set bitmasks."""
-    covers = set()
-    for i, p in enumerate(points):
-        above = masks[i]
-        # y covers i iff y is above i but not above any other point above i.
-        implied = 0
-        m = above
-        while m:
-            j = (m & -m).bit_length() - 1
-            implied |= masks[j]
-            m &= m - 1
-        direct = above & ~implied
-        while direct:
-            j = (direct & -direct).bit_length() - 1
-            covers.add((p, points[j]))
-            direct &= direct - 1
-    return frozenset(covers)
+def _bits(mask: int):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def _delete_point(p: Poset, x: str) -> Poset:
     """Remove x, keeping the order induced on the remaining points."""
     gone = _require(p, x)
-    masks = [m & ~(1 << gone) for m in p._strict_up]
-    masks[gone] = 0
-    covers = _covers_from_strict_up(p.points, masks)
-    return Poset(tuple(y for y in p.points if y != x), covers)
+    low = (1 << gone) - 1  # bit gone is dropped and the bits above it move down
+    masks = [(m & low) | (m >> (gone + 1) << gone)
+             for i, m in enumerate(p._strict_up) if i != gone]
+    up = []
+    for above in masks:
+        # j covers i iff j is above i but not above any other point above i.
+        implied = 0
+        for j in _bits(above):
+            implied |= masks[j]
+        up.append(tuple(_bits(above & ~implied)))
+    return Poset(p.points[:gone] + p.points[gone + 1:], tuple(up))
 
 
 def core(p: Poset) -> Poset:

@@ -270,7 +270,7 @@ def test_generators_preserve_edges_and_outputs_deterministic():
     for _ in range(40):
         d = random_colored_digraph(rng)
         group = automorphisms(d)
-        idx_edges = d._edge_indices
+        idx_edges = d.arcs
         for g in group.generators:
             assert {(g[s], g[t], c) for s, t, c in idx_edges} == idx_edges
         assert automorphisms(d) == group
@@ -542,7 +542,7 @@ def _collapse_one(image, space, s):
         for p in range(len(image))
         for q in range(len(image))
         if p != q
-        and set(x._up[p]) <= set(x._up[q])
+        and set(x.up[p]) <= set(x.up[q])
         and set(x._down[p]) <= set(x._down[q])
     )
     image[p] = image[q]
@@ -688,3 +688,27 @@ def test_inventory_counts_are_block_counts():
     report = verify_realization(cyclic(2))
     assert report.inventory == ((0, 2), (1, 2), (2, 2), (3, 2))
     assert sum(count for _, count in report.inventory) == 8
+
+
+def test_verify_and_isomorphic_stay_on_the_index_form(monkeypatch):
+    """The certificate and the isomorphism search read covers and arcs by
+    index only; the name sets are built for I/O and for callers that ask."""
+    spaces, digraphs = [], []
+
+    def keep_space(group):
+        spaces.append(build_realization(group))
+        return spaces[-1]
+
+    def keep_digraph(p):
+        digraphs.append(hasse_digraph(p))
+        return digraphs[-1]
+
+    monkeypatch.setattr(engine, "build_realization", keep_space)
+    monkeypatch.setattr(engine, "hasse_digraph", keep_digraph)
+    assert verify_realization(cyclic(6)).passed
+    assert "covers" not in spaces[0].poset.__dict__
+    p, q = build_realization(cyclic(3)).poset, build_realization(cyclic(3)).poset
+    assert isomorphic(p, q) is not None
+    assert "covers" not in p.__dict__ and "covers" not in q.__dict__
+    assert len(digraphs) == 3
+    assert all("edges" not in d.__dict__ for d in digraphs)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import finspace
 from finspace import (
@@ -231,6 +234,32 @@ def test_outputs_identical_across_hash_seeds(capsys, tmp_path):
         ])
     assert outputs[0] == outputs[1]
     assert outputs[0][0].strip().endswith("PASS")
+
+
+# sha256 of each command's stdout.  A change here is a change of output.
+STDOUT_SHA256 = {
+    "build-space cyclic:6 --format json":
+        "c60b66d7dc03315012cce5d9029a550657d7bbd5acd76deb9b43f74eed292fc8",
+    "build-space cyclic:6 --format dot":
+        "954322fbf92b682d5251dd8fefa36eef21da07f859f9be70aa9f6e552057612f",
+    "build-space cyclic:6 --format summary":
+        "dfc36b3a70fa0bf81a6ca72ffda2f06666a2e33d79e17527292ef7c2fee38bbe",
+    "build-cayley symmetric:3 --format json":
+        "516757d3dbfe2a351a3bb7bcc549619360a55127d29a888e1c5a91e58c733d22",
+    "build-fk 3 --format dot":
+        "3d86e5429100e78f1e7fab0c6c850447cdbe8e8431772aea2c3466fb1afd1ae3",
+    "verify cyclic:12":
+        "eeec9ff279a6d30cf8a20f0cf5c746d2cfd9b39d73e01810cebdea335746fbbb",
+    "family-check 4":
+        "d7e3044412416f4636e5f8aad4eb2b07cf4d56630532519f7cbc175b78c66210",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_stdout_bytes_are_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
 def test_realization_sweep_script_passes():

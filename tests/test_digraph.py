@@ -1,0 +1,70 @@
+import pytest
+from hypothesis import given
+
+from conftest import posets, seeded_digraphs
+from finspace import (
+    ColoredDigraph,
+    digraph_from_json,
+    digraph_to_json,
+    hasse_digraph,
+    make_digraph,
+)
+
+# -- construction and validation ------------------------------------------
+
+
+def test_arcs_index_the_named_edges():
+    d = make_digraph(["a", "b", "c"], [("b", "a", 2), ("a", "c", 1)])
+    assert d.arcs == {(1, 0, 2), (0, 2, 1)}
+    assert d.edges == {("b", "a", 2), ("a", "c", 1)}
+    assert d == ColoredDigraph(("a", "b", "c"), frozenset({(1, 0, 2), (0, 2, 1)}))
+
+
+def test_rejects_self_loop():
+    with pytest.raises(ValueError, match="self-loop on 'b'"):
+        make_digraph(["a", "b"], [("b", "b", 1)])
+    with pytest.raises(ValueError, match="self-loop on 'a'"):
+        ColoredDigraph(("a", "b"), frozenset({(0, 0, 1)}))
+
+
+def test_rejects_unknown_vertex_name():
+    with pytest.raises(ValueError, match=r"edge \('a', 'z', 1\) uses an unknown vertex"):
+        make_digraph(["a", "b"], [("a", "z", 1)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        make_digraph(["a", "b"], [("z", "a", 1)])
+
+
+@pytest.mark.parametrize("arc", [(0, 2, 1), (2, 0, 1), (-1, 0, 1), (0, "b", 1), (0.0, 1, 1)])
+def test_rejects_arc_index_out_of_range(arc):
+    with pytest.raises(ValueError, match="no such vertex"):
+        ColoredDigraph(("a", "b"), frozenset({arc}))
+
+
+@pytest.mark.parametrize("color", [0, -2, 1.5, "1", None])
+def test_rejects_color_that_is_not_a_positive_int(color):
+    with pytest.raises(ValueError, match="positive integer"):
+        make_digraph(["a", "b"], [("a", "b", color)])
+    with pytest.raises(ValueError, match="positive integer"):
+        ColoredDigraph(("a", "b"), frozenset({(0, 1, color)}))
+
+
+def test_rejects_duplicate_vertices():
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        make_digraph(["a", "b", "a"], [])
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        ColoredDigraph(("a", "a"), frozenset())
+
+
+# -- round trips -------------------------------------------------------------
+
+
+@given(seeded_digraphs())
+def test_named_edges_and_json_round_trip(digraph_and_seed):
+    d, _ = digraph_and_seed
+    assert make_digraph(d.vertices, d.edges) == d
+    assert digraph_from_json(digraph_to_json(d)) == d
+
+
+@given(posets(max_points=10))
+def test_hasse_digraph_edges_are_the_covers(p):
+    assert hasse_digraph(p).edges == {(x, y, 1) for x, y in p.covers}

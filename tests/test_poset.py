@@ -54,6 +54,31 @@ def test_rejects_duplicate_points():
         make_poset(["a", "a"], [])
 
 
+def test_upper_covers_index_the_named_covers():
+    assert CHAIN3.up == ((1,), (2,), ())
+    assert VEE.up == ((2,), (2,), ())
+    assert Poset(("a", "b", "c"), ((1,), (2,), ())) == CHAIN3
+    assert VEE.covers == {("a", "c"), ("b", "c")}
+
+
+@pytest.mark.parametrize(
+    "up, match",
+    [
+        (((1,), ()), "expected 3 tuples of upper covers, got 2"),
+        (((1,), (), (), ()), "expected 3 tuples of upper covers, got 4"),
+        (((3,), (), ()), "upper cover of 'a' is out of range"),
+        (((), (-1,), ()), "upper cover of 'b' is out of range"),
+        (((), (1,), ()), "reflexive cover"),
+        (((2, 1), (), ()), "not sorted and distinct"),
+        (((1, 1), (), ()), "not sorted and distinct"),
+        (([1], [], []), "not sorted and distinct"),
+    ],
+)
+def test_rejects_malformed_upper_covers(up, match):
+    with pytest.raises(ValueError, match=match):
+        Poset(("a", "b", "c"), up)
+
+
 def test_empty_poset_is_valid_minimal_and_its_own_core():
     assert is_minimal(EMPTY)
     assert core(EMPTY) == EMPTY
@@ -279,6 +304,11 @@ def test_isomorphic_rejects_chain_vs_vee():
 def test_json_round_trip():
     block = asymmetric_block(1)
     assert poset_from_json(poset_to_json(block)) == block
+
+
+@given(posets(max_points=10))
+def test_json_round_trip_random(p):
+    assert poset_from_json(poset_to_json(p)) == p
 
 
 def test_json_round_trip_empty():
