@@ -30,7 +30,7 @@ class ColoredDigraph:
                 raise ValueError(f"arc ({s!r}, {t!r}, {c!r}) has no such vertex")
             if s == t:
                 raise ValueError(f"self-loop on {self.vertices[s]!r}")
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
 
     @cached_property
@@ -109,7 +109,7 @@ def digraph_from_json_dict(data: dict) -> ColoredDigraph:
         and len(e) == 3
         and isinstance(e[0], str)
         and isinstance(e[1], str)
-        and isinstance(e[2], int)
+        and type(e[2]) is int
         for e in edges
     )
     if not ok:

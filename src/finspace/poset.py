@@ -3,10 +3,12 @@
 A finite T0 topological space is the same data as a finite poset, and a
 finite poset is stored here as its Hasse diagram: the point names plus,
 per point, the indices of its upper covers.  Names are labels, for I/O and
-for ``make_poset``, which takes covers by name.  All values are immutable;
-every operation below is a pure function, so posets can be shared freely
-across threads.  Poset isomorphism is a digraph search and lives with the
-search, in ``engine``.
+for ``make_poset``, which takes covers by name.  The one order structure
+kept is each point's level, from one topological walk; the covering check
+and point deletion walk upward from a few points, no higher than a level
+bound.  All values are immutable; every operation below is a pure
+function, so posets can be shared freely across threads.  Poset
+isomorphism is a digraph search and lives with the search, in ``engine``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .digraph import _quote
 
@@ -40,6 +43,8 @@ class Poset:
             raise ValueError("duplicate point identifiers")
         if len(self.up) != n:
             raise ValueError(f"expected {n} tuples of upper covers, got {len(self.up)}")
+        if not set(map(type, chain.from_iterable(self.up))) <= {int}:
+            raise ValueError("an upper cover is not an int index")
         for i, ys in enumerate(self.up):
             x = self.points[i]
             if ys != tuple(sorted(set(ys))):
@@ -48,19 +53,22 @@ class Poset:
                 raise ValueError(f"an upper cover of {x!r} is out of range")
             if i in ys:
                 raise ValueError(f"reflexive cover ({x!r}, {x!r})")
-        # _strict_up raises on cycles; then reject any transitively implied pair.
-        up = self._strict_up
-        for i in range(n):
-            beyond = 0
-            for j in self.up[i]:
-                beyond |= up[j]
-            for j in self.up[i]:
-                if beyond >> j & 1:
-                    x, y = self.points[i], self.points[j]
-                    raise ValueError(
-                        f"({x!r}, {y!r}) is not a covering pair: "
-                        "a longer chain joins them"
-                    )
+        # _levels raises on cycles.  A longer chain from i to its upper cover
+        # j leaves i through another upper cover k, and level(k) < level(j).
+        # So only the upper covers below i's highest one start a walk, which
+        # stops at that level; on a graded poset no walk starts.
+        levels = self._levels
+        for i, ys in enumerate(self.up):
+            top = max(map(levels.__getitem__, ys), default=0)
+            if top > levels[i] + 1:
+                above = self._above([k for k in ys if levels[k] < top], top)
+                for j in ys:
+                    if j in above:
+                        x, y = self.points[i], self.points[j]
+                        raise ValueError(
+                            f"({x!r}, {y!r}) is not a covering pair: "
+                            "a longer chain joins them"
+                        )
 
     # -- cached structure ------------------------------------------------
 
@@ -84,45 +92,40 @@ class Poset:
         return tuple(map(tuple, out))
 
     @cached_property
-    def _topo(self) -> tuple[int, ...]:
-        """Indices in a topological order (lower covers first).
-
-        Raises ``ValueError`` if the cover digraph has a cycle.
-        """
-        indeg = [len(d) for d in self._down]
-        ready = [i for i, d in enumerate(indeg) if d == 0]
-        order: list[int] = []
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            for j in self.up[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(order) != len(self.points):
-            raise ValueError("cover relation contains a cycle")
-        return tuple(order)
-
-    @cached_property
-    def _strict_up(self) -> tuple[int, ...]:
-        """Bitmask per point of all strictly greater points."""
-        masks = [0] * len(self.points)
-        for i in reversed(self._topo):
-            m = 0
-            for j in self.up[i]:
-                m |= 1 << j
-                m |= masks[j]
-            masks[i] = m
-        return tuple(masks)
-
-    @cached_property
     def _levels(self) -> tuple[int, ...]:
-        levels = [1] * len(self.points)
-        for i in self._topo:
-            below = self._down[i]
-            if below:
-                levels[i] = 1 + max(levels[j] for j in below)
+        """Length of the longest chain ending at each point (minimal points
+        have level 1); ``ValueError`` if the cover digraph has a cycle."""
+        n, up = len(self.points), self.up
+        levels, indeg = [0] * n, [0] * n
+        for j in chain.from_iterable(up):
+            indeg[j] += 1
+        # A point is ready one round after its last lower cover, so the
+        # round it is taken in is its level.
+        ready, level = [i for i in range(n) if not indeg[i]], 1
+        while ready:
+            taken, ready = ready, []
+            for i in taken:
+                levels[i] = level
+                for j in up[i]:
+                    indeg[j] -= 1
+                    if not indeg[j]:
+                        ready.append(j)
+            level += 1
+        if any(indeg):
+            raise ValueError("cover relation contains a cycle")
         return tuple(levels)
+
+    def _above(self, starts, top: int) -> set[int]:
+        """Points strictly above some point of starts, up to level top."""
+        levels, up = self._levels, self.up
+        seen: set[int] = set()
+        stack = list(starts)
+        while stack:
+            for j in up[stack.pop()]:
+                if j not in seen and levels[j] <= top:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
 
     def __len__(self) -> int:
         return len(self.points)
@@ -188,27 +191,23 @@ def is_minimal(p: Poset) -> bool:
     return not report.up_beats and not report.down_beats
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def _delete_point(p: Poset, x: str) -> Poset:
     """Remove x, keeping the order induced on the remaining points."""
     gone = _require(p, x)
-    low = (1 << gone) - 1  # bit gone is dropped and the bits above it move down
-    masks = [(m & low) | (m >> (gone + 1) << gone)
-             for i, m in enumerate(p._strict_up) if i != gone]
-    up = []
-    for above in masks:
-        # j covers i iff j is above i but not above any other point above i.
-        implied = 0
-        for j in _bits(above):
-            implied |= masks[j]
-        up.append(tuple(_bits(above & ~implied)))
-    return Poset(p.points[:gone] + p.points[gone + 1:], tuple(up))
+    ups = p.up[gone]
+    top = max(map(p._levels.__getitem__, ups), default=0)
+    # Only a lower cover w of x gains covers: each upper cover of x that no
+    # other upper cover of w lies below (x covers w, so no chain passes x).
+    up = list(p.up)
+    for w in p._down[gone]:
+        rest = [u for u in up[w] if u != gone]
+        above = p._above(rest, top)
+        up[w] = sorted(rest + [y for y in ups if y not in above])
+    del up[gone]
+    return Poset(
+        p.points[:gone] + p.points[gone + 1:],
+        tuple(tuple(j - (j > gone) for j in ys) for ys in up),
+    )
 
 
 def core(p: Poset) -> Poset:

@@ -162,6 +162,12 @@ def test_aut_wrong_schema(capsys, tmp_path):
     assert run(capsys, "aut", str(path))[0] == 2
 
 
+def test_aut_rejects_boolean_edge_color(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"vertices": ["a", "b"], "edges": [["a", "b", true]]}')
+    assert run(capsys, "aut", str(path))[0] == 2
+
+
 def test_aut_missing_file(capsys):
     assert run(capsys, "aut", "/no/such/file.json")[0] == 2
 

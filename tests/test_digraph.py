@@ -40,12 +40,17 @@ def test_rejects_arc_index_out_of_range(arc):
         ColoredDigraph(("a", "b"), frozenset({arc}))
 
 
-@pytest.mark.parametrize("color", [0, -2, 1.5, "1", None])
+@pytest.mark.parametrize("color", [0, -2, 1.5, "1", None, True])
 def test_rejects_color_that_is_not_a_positive_int(color):
     with pytest.raises(ValueError, match="positive integer"):
         make_digraph(["a", "b"], [("a", "b", color)])
     with pytest.raises(ValueError, match="positive integer"):
         ColoredDigraph(("a", "b"), frozenset({(0, 1, color)}))
+
+
+def test_json_rejects_boolean_color():
+    with pytest.raises(ValueError, match="malformed digraph JSON"):
+        digraph_from_json('{"vertices": ["a", "b"], "edges": [["a", "b", true]]}')
 
 
 def test_rejects_duplicate_vertices():

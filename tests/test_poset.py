@@ -1,14 +1,19 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import closure_from_pairs, covers_from_closure
 from conftest import posets, random_poset
 from finspace import (
     Poset,
     asymmetric_block,
     beat_points,
+    build_realization,
     core,
+    cyclic,
     hasse_degree,
     is_minimal,
     isomorphic,
@@ -72,11 +77,69 @@ def test_upper_covers_index_the_named_covers():
         (((2, 1), (), ()), "not sorted and distinct"),
         (((1, 1), (), ()), "not sorted and distinct"),
         (([1], [], []), "not sorted and distinct"),
+        (((True,), (), ()), "not an int index"),
+        (((1.0,), (), ()), "not an int index"),
+        ((("b",), (), ()), "not an int index"),
     ],
 )
 def test_rejects_malformed_upper_covers(up, match):
     with pytest.raises(ValueError, match=match):
         Poset(("a", "b", "c"), up)
+
+
+def test_rejects_pair_implied_through_three_levels():
+    chain = [("a", "b"), ("b", "c"), ("c", "d")]
+    with pytest.raises(ValueError, match=r"\('a', 'd'\) is not a covering pair"):
+        make_poset(["a", "b", "c", "d"], chain + [("a", "d")])
+
+
+def test_accepts_poset_that_is_not_graded():
+    # e covers a and is covered by d, beside the chain a < b < c < d
+    covers = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"), ("e", "d")]
+    p = make_poset(["a", "b", "c", "d", "e"], covers)
+    assert p.covers == set(covers)
+    assert [level_of(p, x) for x in p.points] == [1, 2, 3, 4, 2]
+
+
+@st.composite
+def shuffled_pair_sets(draw, max_points: int = 9):
+    """Upward index pairs (i < j) and a shuffled naming of the points."""
+    n = draw(st.integers(min_value=2, max_value=max_points))
+    upward = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = set(draw(st.lists(st.sampled_from(upward), unique=True)))
+    order = draw(st.permutations(range(n)))
+    return n, pairs, order
+
+
+@given(shuffled_pair_sets())
+def test_make_poset_accepts_exactly_the_covering_pairs(case):
+    n, pairs, order = case
+    points = [f"p{i}" for i in order]
+    named = [(f"p{a}", f"p{b}") for a, b in pairs]
+    if pairs == covers_from_closure(closure_from_pairs(n, pairs)):
+        assert make_poset(points, named).covers == set(named)
+    else:
+        with pytest.raises(ValueError, match="not a covering pair"):
+            make_poset(points, named)
+    for x, y in named:
+        with pytest.raises(ValueError, match="cycle"):
+            make_poset(points, named + [(y, x)])
+
+
+def test_construction_memory_grows_linearly():
+    # The set that finds duplicate names is a power-of-two table, so one
+    # doubling of the points can cost 1x and the next 4x; bound the mean
+    # growth per doubling over two doublings.  Quadratic memory grows 4x.
+    peaks = []
+    for k in (48, 96, 192):
+        p = build_realization(cyclic(k)).poset
+        tracemalloc.start()
+        try:
+            Poset(p.points, p.up)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 2.2**2 * peaks[0], peaks
 
 
 def test_empty_poset_is_valid_minimal_and_its_own_core():
