@@ -8,7 +8,6 @@ refinement-backed automorphism search plus a brute-force oracle.
 
 from .assembly import (
     BlockInfo,
-    BlockPlan,
     RealizationSpace,
     assemble,
     block_replace,
@@ -18,7 +17,7 @@ from .assembly import (
     last_level,
     predicted_point_count,
 )
-from .blocks import BlockSpec, asymmetric_block, block_edge_count
+from .blocks import asymmetric_block, block_edge_count
 from .digraph import (
     ColoredDigraph,
     digraph_from_json,

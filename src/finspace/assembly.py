@@ -22,36 +22,6 @@ from .groups import FiniteGroup
 from .poset import Poset, make_poset
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """Named blocks plus directed block-level connections (lower, upper)."""
-
-    blocks: dict[str, Poset]
-    connections: frozenset[tuple[str, str]]
-
-    def __post_init__(self) -> None:
-        for lo, hi in self.connections:
-            if lo not in self.blocks or hi not in self.blocks:
-                raise ValueError(f"connection ({lo!r}, {hi!r}) names an unknown block")
-        # Kahn's algorithm over block names; leftovers mean a cycle.
-        succs: dict[str, list[str]] = {b: [] for b in self.blocks}
-        indeg = {b: 0 for b in self.blocks}
-        for lo, hi in self.connections:
-            succs[lo].append(hi)
-            indeg[hi] += 1
-        ready = [b for b, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            b = ready.pop()
-            seen += 1
-            for nxt in succs[b]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if seen != len(self.blocks):
-            raise ValueError("cyclic block connections")
-
-
 def _at_level(p: Poset, level: int) -> list[int]:
     return [i for i, lvl in enumerate(p._levels) if lvl == level]
 
@@ -102,21 +72,28 @@ def block_replace(x_space: Poset, x: str, block: Poset) -> Poset:
     return make_poset(points, covers)
 
 
-def assemble(plan: BlockPlan) -> Poset:
-    """Disjoint union of the blocks, points prefixed "<block>/", plus the
-    complete bipartite covers demanded by each connection.  Points come
-    block by block in plan order, each block's in its own order."""
+def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Poset:
+    """Disjoint union of the non-empty blocks, points prefixed "<block>/"
+    and listed block by block in dict order, plus the complete bipartite
+    covers demanded by each (lower, upper) connection.  A block's last
+    level lies above one of its first-level points, so a cycle of
+    connections is a cycle of covers, which ``Poset`` refuses."""
+    for lo, hi in connections:
+        if lo not in blocks or hi not in blocks:
+            raise ValueError(f"connection ({lo!r}, {hi!r}) names an unknown block")
     points: list[str] = []
     up: list[list[int]] = []
     start: dict[str, int] = {}
-    for bname, block in plan.blocks.items():
+    for bname, block in blocks.items():
+        if not block.points:
+            raise ValueError(f"empty block {bname!r}")
         base = start[bname] = len(points)
         points.extend(f"{bname}/{p}" for p in block.points)
         up.extend([base + j for j in ys] for ys in block.up)
-    for lo, hi in plan.connections:
-        bottoms = [start[hi] + j for j in _at_level(plan.blocks[hi], 1)]
-        lower = plan.blocks[lo]
-        for i in _at_level(lower, max(lower._levels, default=0)):
+    for lo, hi in connections:
+        bottoms = [start[hi] + j for j in _at_level(blocks[hi], 1)]
+        lower = blocks[lo]
+        for i in _at_level(lower, max(lower._levels)):
             up[start[lo] + i].extend(bottoms)
     return Poset(tuple(points), tuple(tuple(sorted(ys)) for ys in up))
 
@@ -214,8 +191,7 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
             connections.add((vert_name(target), d_name))
             connections.add((e_name, d_name))
 
-    plan = BlockPlan(blocks=blocks, connections=frozenset(connections))
-    poset = assemble(plan)
+    poset = assemble(blocks, connections)
     # assemble lists points block by block, and info holds the blocks in order.
     per_point = (binfo for binfo in info for _ in blocks[binfo.block].points)
     provenance = dict(zip(poset.points, per_point))

@@ -17,31 +17,7 @@ No point has a unique cover in either direction, so each block is minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poset import Poset, make_poset
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Shape parameters of one block: family index k and per-level size n."""
-
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("block index k must be >= 0")
-        if self.n != self.k + 4:
-            raise ValueError("per-level size must equal k + 4")
-
-    @classmethod
-    def for_index(cls, k: int) -> "BlockSpec":
-        return cls(k=k, n=k + 4)
-
-    @property
-    def total_points(self) -> int:
-        return 2 * self.n
 
 
 def _names(n: int, side: str) -> list[str]:
@@ -54,8 +30,9 @@ def asymmetric_block(k: int) -> Poset:
     The bottom level is level 1.  Point names are "a", "b", "t3".."tn"
     suffixed with "/bot" or "/top" so they compose with assembly prefixes.
     """
-    spec = BlockSpec.for_index(k)
-    n = spec.n
+    if k < 0:
+        raise ValueError("block index k must be >= 0")
+    n = k + 4
     points = _names(n, "bot") + _names(n, "top")
     covers: set[tuple[str, str]] = set()
 

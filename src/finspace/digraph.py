@@ -23,6 +23,8 @@ class ColoredDigraph:
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
+        if not set(map(type, self.vertices)) <= {str}:
+            raise ValueError("a vertex name is not a str")
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex identifiers")
         for s, t, c in self.arcs:

@@ -64,7 +64,7 @@ from .poset import Poset, is_minimal
 
 VertexPerm = tuple[int, ...]
 
-ENGINE_POINT_BUDGET = 2_000
+ENGINE_POINT_BUDGET = 20_000
 ORACLE_VERTEX_LIMIT = 10
 
 

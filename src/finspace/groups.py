@@ -159,12 +159,12 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, generators=[{gens}])"
 
 
-def _check_order(order: int, cap: int = DEFAULT_ORDER_CAP) -> None:
-    if order > cap:
-        raise ValueError(f"group too large: order exceeds the cap of {cap}")
+def _check_order(order: int) -> None:
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"group too large: order exceeds the cap of {DEFAULT_ORDER_CAP}")
 
 
-def _enumerate(gens: list[Perm], max_order: int) -> tuple[list[Perm], list[str], tuple]:
+def _enumerate(gens: list[Perm]) -> tuple[list[Perm], list[str], tuple]:
     """Permutations, word names and multiplication table of the group
     generated by ``gens``, in breadth-first order from the identity.
 
@@ -193,7 +193,7 @@ def _enumerate(gens: list[Perm], max_order: int) -> tuple[list[Perm], list[str],
         for k, g in enumerate(gens):
             y = _compose(x, g)
             if y not in index:
-                _check_order(len(perms) + 1, max_order)
+                _check_order(len(perms) + 1)
                 index[y] = len(perms)
                 perms.append(y)
                 names.append(f"g{k + 1}" if i == 0 else f"{names[i]}*g{k + 1}")
@@ -206,9 +206,7 @@ def _enumerate(gens: list[Perm], max_order: int) -> tuple[list[Perm], list[str],
     return perms, names, tuple(rows)
 
 
-def group_from_permutations(
-    perm_generators, *, max_order: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
+def group_from_permutations(perm_generators) -> FiniteGroup:
     """Enumerate the group generated by permutations of {0..m-1}.
 
     Breadth-first closure over right multiplication; element names are the
@@ -216,7 +214,7 @@ def group_from_permutations(
     shortest ("e", "g1", "g1*g2", ...).
     """
     gens = [tuple(p) for p in perm_generators]
-    _, names, table = _enumerate(gens, max_order)
+    _, names, table = _enumerate(gens)
     return FiniteGroup(
         elements=tuple(names),
         table=table,
@@ -283,7 +281,7 @@ def symmetric(m: int) -> FiniteGroup:
     gens: list[Perm] = [swap]
     if m >= 3:
         gens.append(tuple(list(range(1, m)) + [0]))
-    perms, _, table = _enumerate(gens, DEFAULT_ORDER_CAP)
+    perms, _, table = _enumerate(gens)
     return FiniteGroup(
         elements=tuple(cycle_name(p) for p in perms),
         table=table,

@@ -39,6 +39,8 @@ class Poset:
 
     def __post_init__(self) -> None:
         n = len(self.points)
+        if not set(map(type, self.points)) <= {str}:
+            raise ValueError("a point name is not a str")
         if len(set(self.points)) != n:
             raise ValueError("duplicate point identifiers")
         if len(self.up) != n:

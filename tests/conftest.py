@@ -2,8 +2,8 @@
 
 Random posets are built independently of the library internals: draw a
 strict order on indices 0..n-1 (edges only point upward, so acyclicity is
-free), close it transitively with plain set arithmetic, and keep the
-pairs not implied by any two-step path.  ``reference_refine`` is plain
+free), close it transitively by a search upward from each point, and keep
+the pairs not implied by any two-step path.  ``reference_refine`` is plain
 color refinement, kept as the reference the engine's refinement must match.
 ``check_all_translations`` is the all-|G| reference for part 2 of the
 realization certificate, which checks the generators only.
@@ -33,26 +33,34 @@ settings.load_profile("suite")
 
 
 def closure_from_pairs(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Transitive closure of upward pairs (i, j), i < j, by iteration."""
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
+    """Transitive closure of pairs (i, j) on 0..n-1: a search upward from
+    each point over the pairs."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+    closed = set()
+    for a in range(n):
+        seen: set[int] = set()
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ[b])
+        closed.update((a, b) for b in seen)
     return closed
 
 
 def covers_from_closure(closed: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    return {
-        (a, b)
-        for a, b in closed
-        if not any((a, z) in closed and (z, b) in closed for z in range(b)
-                   if z != a and z != b)
-    }
+    """The pairs of an acyclic closure that no third point lies between."""
+    above: dict[int, set[int]] = {}
+    for a, b in closed:
+        above.setdefault(a, set()).add(b)
+    covers = set()
+    for a, ups in above.items():
+        implied = set().union(*(above.get(z, ()) for z in ups))
+        covers.update((a, b) for b in ups - implied)
+    return covers
 
 
 def poset_from_index_pairs(n: int, pairs: set[tuple[int, int]]) -> Poset:

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import random_poset
 from finspace import (
-    BlockPlan,
     RealizationSpace,
     asymmetric_block,
     assemble,
@@ -84,18 +83,14 @@ def test_singleton_replacement_neutral_on_random_posets():
 
 def test_assemble_single_block_is_prefixed_copy():
     block = asymmetric_block(1)
-    out = assemble(BlockPlan(blocks={"only": block}, connections=frozenset()))
+    out = assemble({"only": block}, set())
     assert len(out.points) == len(block.points)
     assert all(p.startswith("only/") for p in out.points)
     assert isomorphic(out, block) is not None
 
 
 def test_assemble_two_blocks_complete_bipartite():
-    plan = BlockPlan(
-        blocks={"lo": asymmetric_block(0), "hi": asymmetric_block(0)},
-        connections=frozenset({("lo", "hi")}),
-    )
-    out = assemble(plan)
+    out = assemble({"lo": asymmetric_block(0), "hi": asymmetric_block(0)}, {("lo", "hi")})
     assert len(out.points) == 16
     crossings = {
         (x, y) for x, y in out.covers if x.startswith("lo/") and y.startswith("hi/")
@@ -107,13 +102,23 @@ def test_assemble_two_blocks_complete_bipartite():
 
 def test_plan_rejects_cycles_and_unknown_names():
     b = asymmetric_block(0)
-    with pytest.raises(ValueError, match="cyclic"):
-        BlockPlan(
-            blocks={"a": b, "b": b},
-            connections=frozenset({("a", "b"), ("b", "a")}),
-        )
+    with pytest.raises(ValueError, match="cycle"):
+        assemble({"a": b, "b": b}, {("a", "b"), ("b", "a")})
     with pytest.raises(ValueError, match="unknown block"):
-        BlockPlan(blocks={"a": b}, connections=frozenset({("a", "ghost")}))
+        assemble({"a": b}, {("a", "ghost")})
+
+
+def test_assemble_rejects_an_empty_block():
+    with pytest.raises(ValueError, match="^empty block 'void'$"):
+        assemble({"a": asymmetric_block(0), "void": make_poset([], [])}, set())
+
+
+def test_assemble_rejects_a_block_connected_to_itself():
+    with pytest.raises(ValueError, match="cycle"):
+        assemble({"a": asymmetric_block(0)}, {("a", "a")})
+    # one level: the last level is the first, so each point covers itself
+    with pytest.raises(ValueError, match="reflexive cover"):
+        assemble({"a": make_poset(["x", "y"], [])}, {("a", "a")})
 
 
 def test_first_and_last_level_use_levels_not_maximality():

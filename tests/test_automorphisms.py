@@ -664,14 +664,21 @@ def test_certificate_needs_the_vertex_blocks(monkeypatch):
     assert report.minimal and report.engine_order == 4 and not report.passed
 
 
-def test_verify_realization_budget():
+def test_verify_realization_budget(monkeypatch):
     from finspace import symmetric
 
-    with pytest.raises(ValueError, match="2352"):
-        verify_realization(symmetric(4))
-    report = verify_realization(symmetric(4), budget=3000)
+    report = verify_realization(symmetric(4))
     assert report.point_count == 2352
     assert report.passed
+    with pytest.raises(ValueError, match="2352"):
+        verify_realization(symmetric(4), budget=2000)
+
+    def fail(group):
+        raise AssertionError("built the space before checking the budget")
+
+    monkeypatch.setattr(engine, "build_realization", fail)
+    with pytest.raises(ValueError, match="needs 22000 points, over the engine budget of 20000"):
+        verify_realization(cyclic(500))
 
 
 @pytest.mark.parametrize("budget", [0, -3, 0.5])

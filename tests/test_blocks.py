@@ -1,7 +1,6 @@
 import pytest
 
 from finspace import (
-    BlockSpec,
     asymmetric_block,
     automorphisms,
     block_edge_count,
@@ -44,12 +43,6 @@ def test_point_counts():
 
 
 def test_block_spec_invariants():
-    spec = BlockSpec.for_index(3)
-    assert (spec.n, spec.total_points) == (7, 14)
-    with pytest.raises(ValueError):
-        BlockSpec(k=3, n=8)
-    with pytest.raises(ValueError):
-        BlockSpec.for_index(-1)
     with pytest.raises(ValueError):
         asymmetric_block(-1)
 

@@ -179,9 +179,12 @@ def test_verify_pass(capsys):
 
 
 def test_verify_budget_exceeded(capsys):
-    code, _, err = run(capsys, "verify", "symmetric:4")
+    code, _, err = run(capsys, "verify", "cyclic:500")
     assert code == 1
-    assert "2352" in err
+    assert "22000" in err
+    code, out, _ = run(capsys, "verify", "symmetric:4")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "order(Aut) = 24 = |G| : PASS"
 
 
 def test_verify_group_over_order_cap(capsys):

@@ -60,6 +60,11 @@ def test_rejects_duplicate_vertices():
         ColoredDigraph(("a", "a"), frozenset())
 
 
+def test_rejects_vertex_names_that_are_not_strings():
+    with pytest.raises(ValueError, match="^a vertex name is not a str$"):
+        make_digraph([1, 2], [(1, 2, 1)])
+
+
 # -- round trips -------------------------------------------------------------
 
 

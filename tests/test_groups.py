@@ -50,7 +50,8 @@ def test_duplicate_generators_rejected():
 
 def test_order_cap():
     with pytest.raises(ValueError, match="group too large"):
-        group_from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], max_order=100)
+        # S8's two generators: 40320 elements
+        group_from_permutations([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])
 
 
 def test_symmetric_shares_the_order_cap():

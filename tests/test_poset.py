@@ -59,6 +59,11 @@ def test_rejects_duplicate_points():
         make_poset(["a", "a"], [])
 
 
+def test_rejects_point_names_that_are_not_strings():
+    with pytest.raises(ValueError, match="^a point name is not a str$"):
+        make_poset([1, 2], [(1, 2)])
+
+
 def test_upper_covers_index_the_named_covers():
     assert CHAIN3.up == ((1,), (2,), ())
     assert VEE.up == ((2,), (2,), ())
@@ -124,6 +129,27 @@ def test_make_poset_accepts_exactly_the_covering_pairs(case):
     for x, y in named:
         with pytest.raises(ValueError, match="cycle"):
             make_poset(points, named + [(y, x)])
+
+
+def test_make_poset_checks_the_covering_pairs_at_300_points():
+    rng = random.Random(300)
+    n = 300
+    drawn = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.03}
+    covers = covers_from_closure(closure_from_pairs(n, drawn))
+    # pairs implied by a chain of two covers, the shortest implications
+    two_steps = sorted({(a, d) for a, b in covers for c, d in covers if b == c})
+    points = [f"p{i}" for i in rng.sample(range(n), n)]
+    for pairs in [drawn, covers] + [covers | {e} for e in rng.sample(two_steps, 50)]:
+        named = [(f"p{a}", f"p{b}") for a, b in pairs]
+        if pairs == covers_from_closure(closure_from_pairs(n, pairs)):
+            p = make_poset(points, named)
+            assert p.covers == set(named)
+            # some cover skips a level, so the check walks
+            assert any(level_of(p, y) > level_of(p, x) + 1 for x, y in named)
+        else:
+            with pytest.raises(ValueError, match="not a covering pair"):
+                make_poset(points, named)
+    assert drawn != covers
 
 
 def test_construction_memory_grows_linearly():
