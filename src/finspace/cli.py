@@ -114,7 +114,7 @@ def _cmd_build_fk(args) -> int:
         sizes = _level_sizes(block)
         print(
             f"block {args.k}: {len(block.points)} points, "
-            f"{len(block.covers)} covers, levels "
+            f"{sum(map(len, block.up))} covers, levels "
             + "/".join(str(sizes[l]) for l in sorted(sizes))
             + ", per-level degrees "
             + ",".join(map(str, degrees))
@@ -130,9 +130,9 @@ def _cmd_build_cayley(args) -> int:
     elif args.format == "dot":
         print(digraph_to_dot(graph, name="cayley"), end="")
     else:
-        colors = {c for _, _, c in graph.edges}
+        colors = {c for _, _, c in graph.arcs}
         print(
-            f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
+            f"{len(graph.vertices)} vertices, {len(graph.arcs)} edges, "
             f"{len(colors)} color(s)"
         )
     return 0
@@ -147,7 +147,7 @@ def _cmd_build_space(args) -> int:
     sizes = _level_sizes(space.poset)
     summary = (
         f"blocks: {inventory}\n"
-        f"points: {len(space.poset.points)}, covers: {len(space.poset.covers)}\n"
+        f"points: {len(space.poset.points)}, covers: {sum(map(len, space.poset.up))}\n"
         "level sizes: "
         + " ".join(f"{lvl}:{n}" for lvl, n in sizes.items())
     )

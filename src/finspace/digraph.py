@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 
 Edge = tuple[str, str, int]
 
@@ -121,8 +122,51 @@ def digraph_from_json_dict(data: dict) -> ColoredDigraph:
     return make_digraph(vertices, ((e[0], e[1], e[2]) for e in edges))
 
 
+def _ranked(names) -> tuple[list[int], list[int]]:
+    """(rank, order): ``order`` lists the indices of names in sorted name
+    order and ``rank`` inverts it.  Names are distinct, so index tuples
+    sorted by rank come in the order of the name tuples."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = [0] * len(names)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank, order
+
+
+def _json_text(
+    names_key: str, names: list[str], rows_key: str, cells: list[str], width: int
+) -> str:
+    """``json.dumps({names_key: names, rows_key: rows}, indent=2)`` for the
+    encoded names and the encoded cells of the rows, row after row, each
+    row ``width`` cells long.  Joins shared strings once: no row is a string
+    of its own."""
+    items = "[\n    " + ",\n    ".join(names) + "\n  ]" if names else "[]"
+    head = f"{{\n  {_json_str(names_key)}: {items},\n  {_json_str(rows_key)}: "
+    if not cells:
+        return head + "[]\n}"
+    # Each cell is followed by the text up to the next cell, the last one by
+    # the end of the text.
+    row_seps = [",\n      "] * (width - 1) + ["\n    ],\n    [\n      "]
+    after = row_seps * (len(cells) // width)
+    after[-1] = "\n    ]\n  ]\n}"
+    text = [""] * (2 * len(cells) + 1)
+    text[0] = head + "[\n    [\n      "
+    text[1::2] = cells
+    text[2::2] = after
+    return "".join(text)
+
+
+def _sorted_arcs(d: ColoredDigraph) -> list[tuple[int, int, int]]:
+    """The arcs in the order of ``sorted(d.edges)``."""
+    rank, _ = _ranked(d.vertices)
+    return sorted(d.arcs, key=lambda a: (rank[a[0]], rank[a[1]], a[2]))
+
+
 def digraph_to_json(d: ColoredDigraph) -> str:
-    return json.dumps(digraph_to_json_dict(d), indent=2)
+    """``json.dumps(digraph_to_json_dict(d), indent=2)``, written from the arcs."""
+    names = list(map(_json_str, d.vertices))
+    cells = [x for s, t, c in _sorted_arcs(d) for x in (names[s], names[t], str(c))]
+    return _json_text("vertices", names, "edges", cells, 3)
 
 
 def digraph_from_json(text: str) -> ColoredDigraph:
@@ -143,10 +187,10 @@ def _quote(name: str) -> str:
 def digraph_to_dot(d: ColoredDigraph, name: str = "digraph_") -> str:
     """DOT text; edge colors are mapped onto a fixed pen-color palette."""
     lines = [f"digraph {name} {{"]
-    for v in d.vertices:
-        lines.append(f"  {_quote(v)};")
-    for s, t, c in sorted(d.edges):
+    quoted = list(map(_quote, d.vertices))
+    lines.extend(f"  {v};" for v in quoted)
+    for s, t, c in _sorted_arcs(d):
         pen = _PALETTE[(c - 1) % len(_PALETTE)]
-        lines.append(f"  {_quote(s)} -> {_quote(t)} [color={pen}, label=\"{c}\"];")
+        lines.append(f"  {quoted[s]} -> {quoted[t]} [color={pen}, label=\"{c}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

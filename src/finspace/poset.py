@@ -14,11 +14,12 @@ isomorphism is a digraph search and lives with the search, in ``engine``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .digraph import _quote
+from .digraph import _json_str, _json_text, _quote, _ranked
 
 Cover = tuple[str, str]
 
@@ -256,8 +257,19 @@ def poset_from_json_dict(data: dict) -> Poset:
     return make_poset(points, ((c[0], c[1]) for c in covers))
 
 
+def _sorted_covers(p: Poset) -> Iterator[tuple[int, int]]:
+    """The covers as index pairs, in the order of ``sorted(p.covers)``."""
+    rank, order = _ranked(p.points)
+    by_rank = rank.__getitem__
+    return ((i, j) for i in order for j in sorted(p.up[i], key=by_rank))
+
+
 def poset_to_json(p: Poset) -> str:
-    return json.dumps(poset_to_json_dict(p), indent=2)
+    """``json.dumps(poset_to_json_dict(p), indent=2)``, written from the
+    upper covers."""
+    names = list(map(_json_str, p.points))
+    cells = list(map(names.__getitem__, chain.from_iterable(_sorted_covers(p))))
+    return _json_text("points", names, "covers", cells, 2)
 
 
 def poset_from_json(text: str) -> Poset:
@@ -271,13 +283,13 @@ def poset_from_json(text: str) -> Poset:
 def poset_to_dot(p: Poset, name: str = "poset") -> str:
     """DOT text with one rank per level, covers drawn bottom-to-top."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=point];"]
+    quoted = list(map(_quote, p.points))
     by_level: dict[int, list[str]] = {}
-    for i, x in enumerate(p.points):
+    for i, x in enumerate(quoted):
         by_level.setdefault(p._levels[i], []).append(x)
     for lvl in sorted(by_level):
-        row = " ".join(f"{_quote(x)};" for x in by_level[lvl])
+        row = " ".join(f"{x};" for x in by_level[lvl])
         lines.append(f"  {{ rank=same; {row} }}")
-    for x, y in sorted(p.covers):
-        lines.append(f"  {_quote(x)} -> {_quote(y)};")
+    lines.extend(f"  {quoted[i]} -> {quoted[j]};" for i, j in _sorted_covers(p))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,11 @@ the pairs not implied by any two-step path.  ``reference_refine`` is plain
 color refinement, kept as the reference the engine's refinement must match.
 ``check_all_translations`` is the all-|G| reference for part 2 of the
 realization certificate, which checks the generators only.
+``named_posets`` and ``named_digraphs`` draw names that exercise text
+output: the empty name, quotes, backslashes, control characters and
+non-ASCII, in an order unrelated to the index order.  ``reference_poset_dot``
+and ``reference_digraph_dot`` are the DOT writers that sort name tuples,
+kept as the reference for the index-order writers.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from finspace import (
     ColoredDigraph,
     Poset,
     induced_translation,
+    level_of,
     make_digraph,
     make_poset,
 )
@@ -108,6 +114,74 @@ def posets(draw, max_points: int = 10) -> Poset:
     else:
         chosen = []
     return poset_from_index_pairs(n, set(chosen))
+
+
+# Characters that JSON and DOT escape, or that ASCII output must encode,
+# mixed with plain letters so that names share prefixes.
+NAME_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('ab"\\\n\t\x00\x1f\x7fé€\U0001d53d '),
+        st.characters(),
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def named_posets(draw, max_points: int = 8) -> Poset:
+    """A poset on arbitrary distinct names, covers drawn upward by index."""
+    names = draw(st.lists(NAME_TEXT, unique=True, max_size=max_points))
+    n = len(names)
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(all_pairs))) if all_pairs else set()
+    covers = covers_from_closure(closure_from_pairs(n, chosen))
+    return make_poset(names, ((names[a], names[b]) for a, b in covers))
+
+
+@st.composite
+def named_digraphs(draw, max_vertices: int = 6) -> ColoredDigraph:
+    """A colored digraph on arbitrary distinct names; a pair of vertices may
+    carry arcs of several colors, some above the DOT palette's size."""
+    names = draw(st.lists(NAME_TEXT, unique=True, max_size=max_vertices))
+    n = len(names)
+    arcs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    edges = draw(
+        st.lists(st.tuples(st.sampled_from(arcs), st.integers(1, 12)))
+        if arcs
+        else st.just([])
+    )
+    return make_digraph(names, ((names[s], names[t], c) for (s, t), c in edges))
+
+
+def _dot_quote(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_poset_dot(p: Poset, name: str = "poset") -> str:
+    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=point];"]
+    by_level: dict[int, list[str]] = {}
+    for x in p.points:
+        by_level.setdefault(level_of(p, x), []).append(x)
+    for lvl in sorted(by_level):
+        row = " ".join(f"{_dot_quote(x)};" for x in by_level[lvl])
+        lines.append(f"  {{ rank=same; {row} }}")
+    for x, y in sorted(p.covers):
+        lines.append(f"  {_dot_quote(x)} -> {_dot_quote(y)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_digraph_dot(d: ColoredDigraph, name: str = "digraph_") -> str:
+    palette = ("red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta")
+    lines = [f"digraph {name} {{"]
+    for v in d.vertices:
+        lines.append(f"  {_dot_quote(v)};")
+    for s, t, c in sorted(d.edges):
+        pen = palette[(c - 1) % len(palette)]
+        arc = f"{_dot_quote(s)} -> {_dot_quote(t)}"
+        lines.append(f"  {arc} [color={pen}, label=\"{c}\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @st.composite

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import finspace
+import finspace.cli as cli
 from finspace import (
     asymmetric_block,
     cayley_graph,
@@ -103,6 +104,29 @@ def test_build_space_json_round_trips(capsys):
     code, out, _ = run(capsys, "build-space", "cyclic:2", "--format", "json")
     assert code == 0
     assert poset_from_json(out) == build_realization(cyclic(2)).poset
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "summary"])
+@pytest.mark.parametrize(
+    "argv, builder, name_set",
+    [
+        (("build-space", "dihedral:8"), "build_realization", "covers"),
+        (("build-fk", "3"), "asymmetric_block", "covers"),
+        (("build-cayley", "symmetric:3"), "cayley_graph", "edges"),
+    ],
+)
+def test_build_commands_leave_the_name_sets_unbuilt(
+    capsys, monkeypatch, argv, builder, name_set, fmt
+):
+    """Output and summaries are written from indices: the cached name sets
+    ``Poset.covers`` and ``ColoredDigraph.edges`` are never built."""
+    built = []
+    make = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda arg: built.append(make(arg)) or built[0])
+    code, _, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    value = getattr(built[0], "poset", built[0])
+    assert name_set not in vars(value)
 
 
 def test_aut_on_poset_file(capsys, tmp_path):
@@ -253,6 +277,10 @@ STDOUT_SHA256 = {
         "954322fbf92b682d5251dd8fefa36eef21da07f859f9be70aa9f6e552057612f",
     "build-space cyclic:6 --format summary":
         "dfc36b3a70fa0bf81a6ca72ffda2f06666a2e33d79e17527292ef7c2fee38bbe",
+    "build-space dihedral:8 --format json":
+        "7f3243c8ef00eb3b528006708f6c52c1812a53ebba7fcae63ceffa883ba9d64b",
+    "build-cayley symmetric:3 --format dot":
+        "6193bc53b63ddbd7df2691ca8599df9bd127befefa1e8eea801087b5f7a163e6",
     "build-cayley symmetric:3 --format json":
         "516757d3dbfe2a351a3bb7bcc549619360a55127d29a888e1c5a91e58c733d22",
     "build-fk 3 --format dot":

@@ -1,14 +1,18 @@
-import pytest
-from hypothesis import given
+import json
 
-from conftest import posets, seeded_digraphs
+import pytest
+from hypothesis import example, given
+
+from conftest import named_digraphs, posets, reference_digraph_dot, seeded_digraphs
 from finspace import (
     ColoredDigraph,
     digraph_from_json,
+    digraph_to_dot,
     digraph_to_json,
     hasse_digraph,
     make_digraph,
 )
+from finspace.digraph import digraph_to_json_dict
 
 # -- construction and validation ------------------------------------------
 
@@ -73,6 +77,22 @@ def test_named_edges_and_json_round_trip(digraph_and_seed):
     d, _ = digraph_and_seed
     assert make_digraph(d.vertices, d.edges) == d
     assert digraph_from_json(digraph_to_json(d)) == d
+
+
+@given(named_digraphs())
+@example(make_digraph([], []))
+@example(make_digraph([""], []))
+@example(make_digraph(["b", "a"], [("b", "a", 9), ("b", "a", 10), ("a", "b", 1)]))
+def test_json_text_is_the_indented_dump_of_the_dict(d):
+    assert digraph_to_json(d) == json.dumps(digraph_to_json_dict(d), indent=2)
+
+
+@given(named_digraphs())
+@example(make_digraph([], []))
+@example(make_digraph([""], []))
+def test_dot_text_matches_the_name_sorted_reference(d):
+    assert digraph_to_dot(d) == reference_digraph_dot(d)
+    assert digraph_to_dot(d, name="cayley") == reference_digraph_dot(d, name="cayley")
 
 
 @given(posets(max_points=10))

@@ -1,12 +1,13 @@
+import json
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import closure_from_pairs, covers_from_closure
-from conftest import posets, random_poset
+from conftest import named_posets, posets, random_poset, reference_poset_dot
 from finspace import (
     Poset,
     asymmetric_block,
@@ -23,7 +24,7 @@ from finspace import (
     poset_to_dot,
     poset_to_json,
 )
-from finspace.poset import _delete_point
+from finspace.poset import _delete_point, poset_to_json_dict
 
 CHAIN3 = make_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 VEE = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -402,6 +403,22 @@ def test_json_round_trip_random(p):
 
 def test_json_round_trip_empty():
     assert poset_from_json(poset_to_json(EMPTY)) == EMPTY
+
+
+@given(named_posets())
+@example(make_poset([], []))
+@example(make_poset([""], []))
+@example(make_poset(['b"', "a\\", "\x00é"], [("b\"", "a\\"), ("\x00é", "a\\")]))
+def test_json_text_is_the_indented_dump_of_the_dict(p):
+    assert poset_to_json(p) == json.dumps(poset_to_json_dict(p), indent=2)
+
+
+@given(named_posets())
+@example(make_poset([], []))
+@example(make_poset([""], []))
+def test_dot_text_matches_the_name_sorted_reference(p):
+    assert poset_to_dot(p) == reference_poset_dot(p)
+    assert poset_to_dot(p, name="space") == reference_poset_dot(p, name="space")
 
 
 def test_malformed_json_rejected():
