@@ -7,6 +7,12 @@ directed edge (g, g_k * g) carrying color k, so right translations
 g -> g * h act as color-preserving graph automorphisms.  Groups given
 by permutations, the symmetric groups among them, are enumerated by one
 breadth-first closure that also derives their table.
+
+A table is certified on a generating set alone: each generator's row must
+permute the element indices, its column must hold element indices, and
+Light's associativity test must pass for it.  That work is |S|*n for the
+latin checks plus |S|*n^2 for Light's test, and it implies latin rows and
+columns and full associativity (proof in ``FiniteGroup._passes_light_test``).
 """
 
 from __future__ import annotations
@@ -62,10 +68,11 @@ class FiniteGroup:
     """A finite group with a chosen generating set.
 
     Invariants checked at construction: the table is a group operation
-    (identity law, inverses via the latin-square property, associativity
-    by Light's test on a generating set, exact at every order), the
-    generators are distinct non-identity elements, and they generate the
-    whole group.
+    (identity law, latin rows and columns, associativity), the generators
+    are distinct non-identity elements, and they generate the whole group.
+    All but the identity law are certified by ``_passes_light_test`` on a
+    generating set alone, exactly at every order; only a failing table
+    pays for the full row and column checks that name its fault.
     """
 
     elements: tuple[str, ...]
@@ -86,12 +93,13 @@ class FiniteGroup:
             raise ValueError("identity index out of range")
         if any(self.table[e][j] != j or self.table[j][e] != j for j in range(n)):
             raise ValueError("identity law fails")
-        every = set(range(n))
-        if any(set(row) != every for row in self.table):
-            raise ValueError("rows must be permutations of the element indices")
-        if any(len(set(col)) != n for col in zip(*self.table)):
-            raise ValueError("columns must be permutations (missing inverses)")
-        self._check_associativity()
+        if not self._passes_light_test():
+            every = set(range(n))
+            if any(set(row) != every for row in self.table):
+                raise ValueError("rows must be permutations of the element indices")
+            if any(len(set(col)) != n for col in zip(*self.table)):
+                raise ValueError("columns must be permutations (missing inverses)")
+            raise ValueError("multiplication table is not associative")
         if not self.generators:
             raise ValueError("a generating set is required")
         if len(set(self.generators)) != len(self.generators):
@@ -103,26 +111,53 @@ class FiniteGroup:
         if len(self._closure(self.generators)) != n:
             raise ValueError("generators do not generate the group")
 
-    def _check_associativity(self) -> None:
-        """Light's test: (x*s)*y = x*(s*y) for all x, y and each s of a
-        generating set.  The elements s passing it include e and are closed
-        under products, so it is exact once the set generates the table.
-        The set is the given generators that are in range and not e,
+    def _passes_light_test(self) -> bool:
+        """True iff the table (identity law already checked) is a group.
+
+        The seed S is the given generators that are in range and not e,
         extended by the smallest unreached element until ``_closure``
-        covers the table."""
+        covers the table.  Each s in S, before the closure uses it, must
+        have a row that permutes range(n) and a column of in-range indices;
+        then Light's test (Clifford and Preston 1961, section 1.2) checks
+        (x*s)*y = x*(s*y) for all x, y, that is row(x*s) = row(x) o row(s).
+
+        Why that is exact: call a product ((s1*s2)*...)*sk of seeds
+        left-associated, and e the empty one.  By induction on k, each such
+        a = b*s has row(a) = row(b) o row(s), a permutation; its column
+        holds x*a = (x*b)*s, in range; and (x*a)*y = ((x*b)*s)*y =
+        (x*b)*(s*y) = x*(b*(s*y)) = x*((b*s)*y) = x*(a*y), every step by
+        Light's test for s or the claim for b, on in-range indices only.
+        So left-associated products are closed under product:
+        a*(c*s) = (a*c)*s.  The closure reaches every element as a word
+        s1*(s2*(...*sk)), hence as a left-associated product, so every row
+        is a permutation and the table is associative.  A monoid whose
+        rows are permutations has right inverses, so it is a group, and
+        its columns are latin too.  Conversely a group passes every check.
+        """
         n = len(self.elements)
         t = self.table
+        every = set(range(n))
+
+        def valid(s: int) -> bool:
+            return set(t[s]) == every and every.issuperset(map(itemgetter(s), t))
+
         seed = tuple(g for g in self.generators if 0 <= g < n and g != self.identity)
+        if not all(map(valid, seed)):
+            return False
         reached = self._closure(seed)
         while len(reached) < n:
-            seed += (min(set(range(n)) - reached),)
+            s = min(every - reached)
+            if not valid(s):
+                return False
+            seed += (s,)
             reached = self._closure(seed)
         for s in seed:
             # row x -> (x*(s*y) for y); s is not e, so n >= 2 and rows are tuples
             times_s = itemgetter(*t[s])
             for x in range(n):
                 if t[t[x][s]] != times_s(t[x]):
-                    raise ValueError("multiplication table is not associative")
+                    return False
+        return True
 
     def _closure(self, seed: tuple[int, ...]) -> set[int]:
         reached = {self.identity}
@@ -198,11 +233,12 @@ def _enumerate(gens: list[Perm]) -> tuple[list[Perm], list[str], tuple]:
                 perms.append(y)
                 names.append(f"g{k + 1}" if i == 0 else f"{names[i]}*g{k + 1}")
                 tree.append((i, k))
-    # left[k][z] is the index of gens[k]*z
-    left = [[index[_compose(g, p)] for p in perms] for g in gens]
+    # left[k](row of x) is the row of x*gens[k]: (x*gens[k])*z = x*(gens[k]*z);
+    # the identity is no generator, so |G| >= 2 and each getter gives a tuple
+    left = [itemgetter(*[index[_compose(g, p)] for p in perms]) for g in gens]
     rows = [tuple(range(len(perms)))]
     for parent, k in tree:
-        rows.append(tuple(map(rows[parent].__getitem__, left[k])))
+        rows.append(left[k](rows[parent]))
     return perms, names, tuple(rows)
 
 
@@ -229,7 +265,8 @@ def cyclic(m: int) -> FiniteGroup:
         raise ValueError("cyclic group needs order >= 2 (no identity generators)")
     _check_order(m)
     names = ["e", "x"] + [f"x{i}" for i in range(2, m)]
-    table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+    r = tuple(range(m))
+    table = tuple(r[i:] + r[:i] for i in range(m))
     return FiniteGroup(tuple(names), table, identity=0, generators=(1,))
 
 
@@ -292,6 +329,7 @@ def symmetric(m: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; generators embed each factor's generators."""
+    _check_order(g.order * h.order)
     nh = h.order
 
     def idx(i: int, j: int) -> int:

@@ -11,12 +11,17 @@ realization certificate, which checks the generators only.
 output: the empty name, quotes, backslashes, control characters and
 non-ASCII, in an order unrelated to the index order.  ``reference_poset_dot``
 and ``reference_digraph_dot`` are the DOT writers that sort name tuples,
-kept as the reference for the index-order writers.
+kept as the reference for the index-order writers.  ``reference_group_check``
+is the full-table group validator (every row, every column, then Light's
+test), kept as the reference for the generating-set certificate of
+``FiniteGroup``.
 """
 
 from __future__ import annotations
 
 import random
+
+from operator import itemgetter
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -240,3 +245,61 @@ def check_all_translations(space) -> None:
     for g, t_g in enumerate(maps):
         for h, t_h in enumerate(maps):
             assert maps[group.table[g][h]] == tuple(t_h[i] for i in t_g)
+
+
+def reference_group_check(elements, table, identity, generators) -> None:
+    """Raise the ValueError that ``FiniteGroup`` must raise, or return None.
+
+    The checks run in ``FiniteGroup``'s order, but the latin checks read
+    every row and every column before Light's test runs on the same seed
+    (the in-range non-identity generators, extended by the smallest
+    unreached element until they generate)."""
+    n = len(elements)
+    t = table
+    if n == 0:
+        raise ValueError("a group needs at least one element")
+    if len(set(elements)) != n:
+        raise ValueError("duplicate element names")
+    if len(t) != n or any(len(row) != n for row in t):
+        raise ValueError("table must be |G| x |G|")
+    e = identity
+    if not (0 <= e < n):
+        raise ValueError("identity index out of range")
+    if any(t[e][j] != j or t[j][e] != j for j in range(n)):
+        raise ValueError("identity law fails")
+    every = set(range(n))
+    if any(set(row) != every for row in t):
+        raise ValueError("rows must be permutations of the element indices")
+    if any(len(set(col)) != n for col in zip(*t)):
+        raise ValueError("columns must be permutations (missing inverses)")
+
+    def closure(seed):
+        reached = {e}
+        frontier = [e]
+        while frontier:
+            x = frontier.pop()
+            for g in seed:
+                if t[g][x] not in reached:
+                    reached.add(t[g][x])
+                    frontier.append(t[g][x])
+        return reached
+
+    seed = tuple(g for g in generators if 0 <= g < n and g != e)
+    reached = closure(seed)
+    while len(reached) < n:
+        seed += (min(every - reached),)
+        reached = closure(seed)
+    for s in seed:
+        times_s = itemgetter(*t[s])
+        if any(t[t[x][s]] != times_s(t[x]) for x in range(n)):
+            raise ValueError("multiplication table is not associative")
+    if not generators:
+        raise ValueError("a generating set is required")
+    if len(set(generators)) != len(generators):
+        raise ValueError("generators must be pairwise distinct")
+    if any(g == e for g in generators):
+        raise ValueError("the identity is not allowed as a generator")
+    if any(not (0 <= g < n) for g in generators):
+        raise ValueError("generator index out of range")
+    if len(closure(generators)) != n:
+        raise ValueError("generators do not generate the group")

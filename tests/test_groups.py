@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_group_check
 from finspace import (
+    FiniteGroup,
     cayley_graph,
     cyclic,
     dihedral,
@@ -171,6 +175,18 @@ def test_klein_four_element_orders():
     orders = sorted(g.element_order(i) for i in range(g.order))
     assert orders == [1, 2, 2, 2]
     assert len(g.generators) == 2
+
+
+def test_cyclic_table_is_addition_mod_m():
+    for m in range(2, 41):
+        table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+        assert cyclic(m).table == table
+
+
+def test_direct_product_refuses_orders_over_the_cap():
+    # checked before the 101*100 x 101*100 table is built
+    with pytest.raises(ValueError, match="group too large"):
+        direct_product(cyclic(101), cyclic(100))
 
 
 def test_direct_product_of_cyclics():
@@ -412,3 +428,98 @@ def test_trivial_table_rejects_the_identity_as_generator():
 
     with pytest.raises(ValueError, match="identity is not allowed"):
         FiniteGroup(elements=("e",), table=((0,),), identity=0, generators=(0,))
+
+
+_Z4 = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "table, generators",
+    [
+        # the identity law holds; row 2, of no generator, repeats 0
+        pytest.param(_Z4[:2] + ((2, 3, 0, 0), _Z4[3]), (1,), id="repeat"),
+        # Z5: row 3 holds -1 for x3*x = x4, and Python would read t[-1] as x4's row
+        pytest.param(
+            ((0, 1, 2, 3, 4), (1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (3, -1, 0, 1, 2), (4, 0, 1, 2, 3)),
+            (1,),
+            id="negative",
+        ),
+        # row 1 holds 4, no row, in generator x3's column; Light's test for
+        # x3 reads row x*x3 = 4 before it compares row x
+        pytest.param((_Z4[0], (1, 2, 3, 4)) + _Z4[2:], (3,), id="generator-column"),
+        # associative, with identity 0 and generated by 1, but 1*1 = 1*0
+        pytest.param(((0, 1), (1, 1)), (1,), id="monoid"),
+    ],
+)
+def test_table_validation_refuses_non_permutation_rows(table, generators):
+    elements = ("e", "x", "x2", "x3", "x4")[: len(table)]
+    with pytest.raises(ValueError, match="rows must be permutations"):
+        FiniteGroup(elements, table, identity=0, generators=generators)
+
+
+_SMALL_GROUPS = (
+    *(cyclic(m) for m in range(4, 13)),
+    symmetric(3),
+    symmetric(4),
+    dihedral(8),
+    dihedral(12),
+    klein_four(),
+)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A small group table (identity 0) with up to three perturbations,
+    and either its own generators or a drawn list of indices that may hold
+    e, duplicates and out-of-range values.
+
+    A perturbation sets one entry (out of range, negative or repeated),
+    swaps two entries of a row or of a column, or swaps an intercalate (a
+    2 x 2 sub-square [[a, b], [b, a]]), which keeps a latin square.  Cells
+    mostly avoid the identity's row and column, so that the identity law
+    holds and the later checks are reached."""
+    group = draw(st.sampled_from(_SMALL_GROUPS))
+    n = group.order
+    table = [list(row) for row in group.table]
+    for _ in range(draw(st.integers(0, 3))):
+        low = 0 if draw(st.integers(0, 7)) == 0 else 1
+        cell = st.integers(low, n - 1)
+        r, c, r2, c2 = (draw(cell) for _ in range(4))
+        kind = draw(st.sampled_from(["set", "row swap", "column swap", "intercalate"]))
+        if kind == "set":
+            table[r][c] = draw(
+                st.integers(n, n + 2) | st.integers(-n - 1, -1) | st.integers(0, n - 1)
+            )
+        elif kind == "row swap":
+            table[r][c], table[r][c2] = table[r][c2], table[r][c]
+        elif kind == "column swap":
+            table[r][c], table[r2][c] = table[r2][c], table[r][c]
+        else:
+            a, b = table[r][c], table[r2][c]
+            if r != r2 and b in table[r]:
+                c2 = table[r].index(b)
+                if c2 != c and table[r2][c2] == a:
+                    table[r][c], table[r][c2] = b, a
+                    table[r2][c], table[r2][c2] = a, b
+    generators = draw(
+        st.just(group.generators) | st.lists(st.integers(-1, n), max_size=3).map(tuple)
+    )
+    return group.elements, tuple(map(tuple, table)), generators
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=500)
+@given(perturbed_tables())
+def test_table_validation_matches_the_full_table_reference(case):
+    """Same acceptance and the same message as every-row, every-column
+    validation followed by Light's test."""
+    elements, table, generators = case
+    expected = _refusal(reference_group_check, elements, table, 0, generators)
+    assert _refusal(FiniteGroup, elements, table, 0, generators) == expected
