@@ -14,22 +14,37 @@ part split off are re-signed, each split class's largest part excepted
 ``_refine`` starts from seed keys and ``_split`` splits one vertex off its
 class.
 
-The search individualizes a vertex and refines again.  The left digraph
-always individualizes the smallest vertex of a non-singleton class, so its
-refinements form a single path down to a discrete leaf, computed once.
-The right digraph branches over the candidate images of each base point
-and is refined against the left path's trace, abandoning a branch at the
-first round that differs.  In automorphism mode the right digraph is the
-left one, so the left path is also the right root and the identity
-branch: alternatives tried at depth d, deepest first, yield generators
-fixing the first d base points; one union-find forest of their orbits
-prunes redundant branches, and the group order is the product of the
-base-point orbit sizes.  Automorphisms known beforehand (verify passes the
-certified translations t_s) join the forest before depth 0 and prune its
-candidates; that no further map exists, the upper bound, is still decided
-by the search alone.  Every map emitted by the search is checked by one
-edge test, ``_carries``, and against the seed coloring, so refinement is a
-pruning device, never a source of truth.  The same edge test serves a
+The search branches on the images of base points, the first being the
+smallest vertex of a non-singleton root class.  First it walks from that
+pivot v along unique neighbours: u is one of x if it is the only
+neighbour of x in its bucket, keyed ``offset + colors[u]`` by root class
+as a signature is (Traces, by McKay and Piperno, likewise treats singleton
+cells as cheap splitters).  Every automorphism keeps the root classes, so
+one that fixes x maps x's bucket onto itself and fixes its unique
+neighbour; by induction it fixes all the walk reaches.  If the walk
+reaches every vertex, the stabilizer of v is trivial: depth 0 is the only
+depth, and for each candidate image w the same walk run from w on the
+right side (a pair walk) forces the only map that can send v to w.  It is
+accepted only if it is injective, carries every edge and keeps the seed
+keys.  Injectivity is checked on its own because matching buckets do not
+imply it: a directed C6 walks onto two disjoint directed C3s with every
+bucket matched.  If the walk is incomplete, the search refines instead:
+the left digraph individualizes the smallest vertex of a non-singleton
+class, so its refinements form a single path down to a discrete leaf,
+computed once, and the right digraph is refined against the left path's
+trace, abandoning a branch at the first round that differs.
+
+In automorphism mode the right digraph is the left one, so the left path
+is also the right root and the identity branch: alternatives tried at
+depth d, deepest first, yield generators fixing the first d base points;
+one union-find forest of their orbits prunes redundant branches, and the
+group order is the product of the base-point orbit sizes.  Automorphisms
+known beforehand (verify passes the certified translations t_s) join the
+forest before depth 0 and prune its candidates; that no further map
+exists, the upper bound, is still decided by the search alone.  Every map
+emitted by the search is checked by one edge test, ``_carries``, and
+against the seed coloring, so refinement and the walk are pruning
+devices, never a source of truth.  The same edge test serves a
 factorial-time oracle over all vertex bijections, for cross-validation on
 small graphs, and part 2 of the certificate.
 
@@ -48,6 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse, permutations
 from operator import add
 
@@ -214,28 +230,100 @@ def _carries(sigma: VertexPerm, edges_a, edges_b) -> bool:
     return all((sigma[s], sigma[t], c) in edges_b for s, t, c in edges_a)
 
 
+def _unique_neighbours(inc, colors: list[int], x: int) -> dict[int, int]:
+    """x's neighbours by bucket, keyed ``offset + colors[u]`` as a signature
+    is: the one neighbour in each bucket, or -1 where a bucket has more."""
+    nbrs, offsets = inc
+    keys = list(map(add, offsets[x], map(colors.__getitem__, nbrs[x])))
+    unique = dict(zip(keys, nbrs[x]))
+    if len(unique) < len(keys):
+        for key, count in Counter(keys).items():
+            if count > 1:
+                unique[key] = -1
+    return unique
+
+
+def _unique_walk(inc, colors: list[int], v: int) -> list | None:
+    """Walk from v along unique neighbours under a coloring that every
+    automorphism keeps, such as the root refinement.
+
+    Returns (u, x, key) for each vertex u reached, u being the one
+    neighbour of x in bucket ``key``, in breadth-first order (so each x's
+    entries are adjacent), or None unless every vertex is reached.  Then
+    an automorphism fixing v fixes every vertex, by induction along the
+    walk: fixing x and keeping colors, it maps x's bucket onto itself.
+    A vertex with every neighbour reached adds nothing and is skipped.
+    """
+    seen = bytearray(len(colors))
+    seen[v] = 1
+    order, tree = [v], []
+    for x in order:
+        if all(map(seen.__getitem__, inc[0][x])):
+            continue
+        for key, u in _unique_neighbours(inc, colors, x).items():
+            if u >= 0 and not seen[u]:
+                seen[u] = 1
+                order.append(u)
+                tree.append((u, x, key))
+    return tree if len(order) == len(colors) else None
+
+
 class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
-    The constructor refines the left side only: ``path[d]`` is its
-    ((colors, cells), trace) after individualizing ``base[:d]``, and
-    ``path[-1]`` is discrete.  The right side is refined against
-    ``path[0]``'s trace when an isomorphism is sought; in automorphism mode
-    it is the left side, so ``path[d]`` serves both.
+    The constructor refines the left root only; ``pivot`` is base[0].  With
+    the walk from it complete (``tree``), depth 0 is the only depth.
+    Otherwise ``path[d]`` is the left side's ((colors, cells), trace) after
+    individualizing ``base[:d]``, and ``path[-1]`` is discrete; both are
+    computed when first read.  The right side is refined against the root's
+    trace when an isomorphism is sought; in automorphism mode it is the
+    left side, so ``path[d]`` serves both.
     """
 
     def __init__(self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None):
         self.n = len(a.vertices)
+        self.inc_a = a._incidence
         self.inc_b = b._incidence
         self.edges_a = a.arcs
         self.edges_b = b.arcs
         self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
         self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
-        self.base: list[int] = []
-        self.path = [_refine(a._incidence, self.keys_a)]
-        while (v := self._pivot(*self.path[-1][0])) is not None:
-            self.base.append(v)
-            self.path.append(_split(a._incidence, *self.path[-1][0], v))
+        self.root = _refine(self.inc_a, self.keys_a)
+        self.pivot = self._pivot(*self.root[0])
+
+    @cached_property
+    def tree(self) -> list | None:
+        """The complete unique neighbour walk from the pivot, or None."""
+        if self.pivot is None:
+            return None
+        return _unique_walk(self.inc_a, self.root[0][0], self.pivot)
+
+    @cached_property
+    def _descent(self) -> tuple[list[int], list]:
+        base, path = [], [self.root]
+        while (v := self._pivot(*path[-1][0])) is not None:
+            base.append(v)
+            path.append(_split(self.inc_a, *path[-1][0], v))
+        return base, path
+
+    @property
+    def base(self) -> list[int]:
+        return self._descent[0]
+
+    @property
+    def path(self) -> list:
+        return self._descent[1]
+
+    @property
+    def depths(self) -> int:
+        """How many base points are branched on."""
+        return 1 if self.tree is not None else len(self.base)
+
+    def _level(self, depth: int) -> tuple[int, tuple]:
+        """base[depth] and the left (colors, cells) it is chosen in."""
+        if depth == 0:
+            return self.pivot, self.root[0]
+        return self.base[depth], self.path[depth][0]
 
     @staticmethod
     def _pivot(colors: list[int], cells: dict) -> int | None:
@@ -244,27 +332,54 @@ class _PairSearch:
                 return v
         return None
 
-    def _extract(self, state_b: tuple) -> VertexPerm | None:
-        cells_b = state_b[1]
-        if len(cells_b) != self.n:
-            return None
-        sigma = tuple(cells_b[c][0] for c in self.path[-1][0][0])
+    def _accept(self, sigma: VertexPerm) -> VertexPerm | None:
+        """sigma, an injection, if it carries every left edge onto a right
+        edge and keeps the seed keys.  Edge counts are equal, so it is then
+        an isomorphism."""
         if not _carries(sigma, self.edges_a, self.edges_b):
             return None
         if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
             return None
         return sigma
 
+    def _extract(self, state_b: tuple) -> VertexPerm | None:
+        cells_b = state_b[1]
+        if len(cells_b) != self.n:
+            return None
+        return self._accept(tuple(cells_b[c][0] for c in self.path[-1][0][0]))
+
+    def _forced(self, colors_b: list[int], w: int) -> VertexPerm | None:
+        """The only map that can send the pivot to w: the walk's tree run
+        from w on the right side.  None where a forced image is missing,
+        shared or taken twice (buckets alone do not make it injective)."""
+        image = [-1] * self.n
+        image[self.pivot] = w
+        used = bytearray(self.n)
+        used[w] = 1
+        last = unique = None
+        for u, x, key in self.tree:
+            if x != last:
+                last, unique = x, _unique_neighbours(self.inc_b, colors_b, image[x])
+            y = unique.get(key, -1)
+            if y < 0 or used[y]:
+                return None
+            used[y] = 1
+            image[u] = y
+        return tuple(image)
+
     def _branch(self, depth: int, state_b: tuple, w: int) -> VertexPerm | None:
         """Map base[depth] to w on the right side, then complete the map."""
+        if self.tree is not None:
+            sigma = self._forced(state_b[0], w)
+            return None if sigma is None else self._accept(sigma)
         nxt = _split(self.inc_b, *state_b, w, self.path[depth + 1][1])
         return None if nxt is None else self._find(depth + 1, nxt[0])
 
     def _find(self, depth: int, state_b: tuple) -> VertexPerm | None:
-        if depth == len(self.base):
+        if depth == self.depths:
             return self._extract(state_b)
-        colors, _ = self.path[depth][0]
-        for w in sorted(state_b[1][colors[self.base[depth]]]):
+        v, (colors, _) = self._level(depth)
+        for w in sorted(state_b[1][colors[v]]):
             sigma = self._branch(depth, state_b, w)
             if sigma is not None:
                 return sigma
@@ -272,12 +387,18 @@ class _PairSearch:
 
     def find_isomorphism(self) -> VertexPerm | None:
         """Equal edge-color multisets give both sides the same channel ranks
-        in their incidence offsets, so signatures compare across sides."""
+        in their incidence offsets, so signatures and bucket keys compare
+        across sides.  An isomorphism keeps root colors, so by induction
+        along the left walk it is the map that the pair walk from the pivot
+        to its image forces: with the walk complete, the pair walks find an
+        isomorphism exactly when one exists, the first in index order, as
+        the search would.  Each forced map is checked to be injective, as
+        matching buckets can merge vertices (directed C6 onto two C3s)."""
         if self.n != len(self.keys_b):
             return None
         if Counter(c for *_, c in self.edges_a) != Counter(c for *_, c in self.edges_b):
             return None
-        root = _refine(self.inc_b, self.keys_b, self.path[0][1])
+        root = _refine(self.inc_b, self.keys_b, self.root[1])
         return None if root is None else self._find(0, root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
@@ -288,7 +409,11 @@ class _PairSearch:
         base[:d], and once depth d is done, base[d]'s class in it is its
         orbit under the pointwise stabilizer of base[:d].  Known maps fix
         no base point, so they join the forest just before depth 0's
-        candidates are tried, and only prune there."""
+        candidates are tried, and only prune there.  With the walk from
+        base[0] complete, an automorphism fixing base[0] fixes every vertex,
+        so depth 0 is the only depth, the pair walk to a candidate w yields
+        the one automorphism sending base[0] to w if there is any, and the
+        order is base[0]'s orbit size."""
         known = [tuple(sigma) for sigma in known]
         every = list(range(self.n))
         for sigma in known:
@@ -307,9 +432,9 @@ class _PairSearch:
 
         gens: list[VertexPerm] = list(known)
         order = 1
-        for depth in reversed(range(len(self.base))):
-            v = self.base[depth]
-            colors, cells = state = self.path[depth][0]
+        for depth in reversed(range(self.depths)):
+            v, state = self._level(depth)
+            colors, cells = state
             cell = sorted(cells[colors[v]])
             for sigma in known if depth == 0 else ():
                 join(sigma)
@@ -327,9 +452,11 @@ class _PairSearch:
 def automorphisms(d: ColoredDigraph, known=()) -> AutGroup:
     """Automorphism group of the colored digraph.
 
-    Generators come out of the refinement-pruned backtracking search; the
-    order is the product of base-point orbit sizes under the generators
-    found at or below each branching depth (orbit-stabilizer).  ``known``
+    Generators come out of the search: one pair walk per candidate image
+    of the first base point when the unique neighbour walk from it reaches
+    every vertex, else refinement-pruned backtracking.  The order is the
+    product of base-point orbit sizes under the generators found at or
+    below each branching depth (orbit-stabilizer).  ``known``
     automorphisms, each checked to be one (else ``ValueError``), are
     reported as generators and prune the depth-0 candidates in their
     orbits; the search alone still decides that no other map exists.

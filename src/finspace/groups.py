@@ -18,7 +18,7 @@ columns and full associativity (proof in ``FiniteGroup._passes_light_test``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 from operator import itemgetter
 
 from .digraph import ColoredDigraph
@@ -288,20 +288,17 @@ def dihedral(order: int) -> FiniteGroup:
         s = "s" if j == 1 else ""
         return f"{t}*{s}" if t and s else t + s
 
-    def idx(i: int, j: int) -> int:
-        return i + m * j
-
+    # t^i * s^j is element i + m*j.  As t^a * t^c = t^(a+c) and
+    # (t^a * s) * t^c = t^(a-c) * s, row t^a turns both halves of
+    # 0..2m-1 left by a, and row t^a * s runs both halves backwards from
+    # a, the reflections first.
+    r, s = tuple(range(m)), tuple(range(m, order))
+    rr, sr = r[::-1], s[::-1]
+    rotations = [r[a:] + r[:a] + s[a:] + s[:a] for a in range(m)]
+    reflections = [sr[k:] + sr[:k] + rr[k:] + rr[:k] for k in reversed(range(m))]
     names = [name(i, j) for j in (0, 1) for i in range(m)]
-    table = [[0] * order for _ in range(order)]
-    for a, b in product(range(m), (0, 1)):
-        for c, d in product(range(m), (0, 1)):
-            i = (a + (c if b == 0 else -c)) % m
-            table[idx(a, b)][idx(c, d)] = idx(i, (b + d) % 2)
     return FiniteGroup(
-        tuple(names),
-        tuple(tuple(row) for row in table),
-        identity=0,
-        generators=(idx(1, 0), idx(0, 1)),
+        tuple(names), tuple(rotations + reflections), identity=0, generators=(1, m)
     )
 
 
@@ -338,17 +335,18 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     names = tuple(
         f"({a},{b})" for a in g.elements for b in h.elements
     )
-    table = tuple(
-        tuple(idx(g.table[a][c], h.table[b][d]) for c in range(g.order) for d in range(nh))
-        for a in range(g.order)
-        for b in range(nh)
-    )
+    # Row (a, b) is, for c in g's order, row b of h plus nh * (a*c in g).
+    table: list = [None] * (g.order * nh)
+    for b, row_h in enumerate(h.table):
+        shifted = [tuple(map((nh * x).__add__, row_h)) for x in range(g.order)]
+        for a, row_g in enumerate(g.table):
+            table[idx(a, b)] = tuple(chain.from_iterable(map(shifted.__getitem__, row_g)))
     gens = tuple(idx(k, h.identity) for k in g.generators) + tuple(
         idx(g.identity, k) for k in h.generators
     )
     return FiniteGroup(
         elements=names,
-        table=table,
+        table=tuple(table),
         identity=idx(g.identity, h.identity),
         generators=gens,
     )

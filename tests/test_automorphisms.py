@@ -420,6 +420,127 @@ def test_isomorphism_between_seeds_with_equal_hashes():
     assert isomorphism_between(b, a, {"x": -1, "y": -1}, {"x": -1, "y": -2}) is None
 
 
+def _directed_cycles(*lengths: int):
+    names, edges = [], []
+    for k, n in enumerate(lengths):
+        ring = [f"c{k}_{i}" for i in range(n)]
+        names += ring
+        edges += [(ring[i], ring[(i + 1) % n], 1) for i in range(n)]
+    return make_digraph(names, edges)
+
+
+def test_isomorphism_between_needs_a_bijection():
+    """From a directed C6 the walk is complete, and every bucket of the pair
+    walk onto two directed C3s matches: only the injectivity check stops
+    a0 and a3 landing on one vertex."""
+    c6, c3c3 = _directed_cycles(6), _directed_cycles(3, 3)
+    assert engine._PairSearch(c6, c3c3).tree is not None
+    assert isomorphism_between(c6, c3c3) is None
+    assert engine._PairSearch(c3c3, c6).tree is None
+    assert isomorphism_between(c3c3, c6) is None
+    assert isomorphism_between(c6, _directed_cycles(6)) is not None
+
+
+def _undirected(names, pairs):
+    return make_digraph(names, [(s, t, 1) for a, b in pairs for s, t in ((a, b), (b, a))])
+
+
+@pytest.mark.parametrize(
+    "d, order",
+    [
+        (_undirected("abcde", ["ab", "bc", "cd", "de", "ea"]), 10),
+        (_undirected("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"]), 72),
+        (_directed_cycles(3, 3), 18),
+    ],
+    ids=["undirected-C5", "two-triangles", "two-directed-C3"],
+)
+def test_incomplete_walks_fall_back_to_the_search(d, order):
+    """Each vertex's neighbours share a bucket, or the walk stays in one
+    component, so the walk proves nothing and the refinement search runs."""
+    search = engine._PairSearch(d, d)
+    assert search.tree is None
+    group = automorphisms(d)
+    assert group.order == order == brute_force_automorphisms(d).order
+    assert _closure_order(group.generators, len(d.vertices)) == order
+
+
+def _without_walk(call):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_unique_walk", lambda *args: None)
+        return call()
+
+
+@st.composite
+def circulant_unions(draw, max_vertices: int = 10):
+    """k copies of a circulant digraph on Z_m (arcs i -> i + j of color
+    c_j, for up to three steps j), up to two stray arcs, and a seed that is
+    constant, constant on each copy or drawn per vertex.  Random digraphs
+    mostly refine to a discrete root; these keep their symmetry, so walks
+    run, complete or not."""
+    m = draw(st.integers(2, max_vertices))
+    k = draw(st.integers(1, max_vertices // m))
+    n = k * m
+    steps = draw(st.dictionaries(st.integers(1, m - 1), st.integers(1, 2), max_size=3))
+    arcs = {(b * m + i, b * m + (i + j) % m, c)
+            for b in range(k) for i in range(m) for j, c in steps.items()}
+    stray = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2))
+    arcs |= {(s, t, c) for s, t, c in draw(st.lists(stray, max_size=2)) if s != t}
+    names = [f"v{i}" for i in range(n)]
+    keys = draw(st.sampled_from(["constant", "copy", "vertex"]))
+    if keys == "vertex":
+        seed = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        seed = [v // m if keys == "copy" else 0 for v in range(n)]
+    d = make_digraph(names, [(names[s], names[t], c) for s, t, c in arcs])
+    return d, dict(zip(names, seed))
+
+
+@given(circulant_unions(), st.data())
+def test_walk_agrees_with_the_refinement_search(drawn, data):
+    """The pair walks give the same orders, generators and isomorphisms as
+    the search with the walk reported incomplete, and as the oracle."""
+    d, seed = drawn
+    n = len(d.vertices)
+    group = automorphisms(d)
+    assert group == _without_walk(lambda: automorphisms(d))
+    if n <= 8:  # the oracle takes seconds on 10 vertices
+        oracle = brute_force_automorphisms(d)
+        assert group.order == oracle.order
+        assert set(group.generators) <= set(oracle.generators)
+    assert engine._PairSearch(d, d, seed, seed).automorphism_group() == _without_walk(
+        lambda: engine._PairSearch(d, d, seed, seed).automorphism_group()
+    )
+
+    image = data.draw(st.permutations(range(n)))
+    names = [f"w{i}" for i in range(n)]
+    rename = {v: names[image[i]] for i, v in enumerate(d.vertices)}
+    b = make_digraph(names, [(rename[s], rename[t], c) for s, t, c in d.edges])
+    seed_b = {rename[v]: k for v, k in seed.items()}
+    other, seed_o = data.draw(circulant_unions())
+    for right, right_seed in [(b, seed_b), (other, seed_o)]:
+        mapping = isomorphism_between(d, right, seed, right_seed)
+        assert mapping == _without_walk(
+            lambda: isomorphism_between(d, right, seed, right_seed)
+        )
+        if right is b:
+            assert mapping is not None and _carries(mapping, d, b, seed, seed_b)
+
+
+def test_verify_runs_no_refinement_wave(monkeypatch):
+    """On realization spaces the walk from base[0] is complete: verify
+    refines the root once and individualizes no vertex, at every size."""
+    calls = []
+    for name in ("_refine", "_split"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(
+            engine, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
+        )
+    for m in (96, 192, 384):
+        calls.clear()
+        assert verify_realization(cyclic(m)).passed
+        assert calls == ["_refine"], m
+
+
 def _carries(mapping, a, b, seed_a, seed_b) -> bool:
     """The map sends a's edges onto b's and keeps every seed value."""
     return {(mapping[s], mapping[t], c) for s, t, c in a.edges} == b.edges and all(

@@ -183,6 +183,50 @@ def test_cyclic_table_is_addition_mod_m():
         assert cyclic(m).table == table
 
 
+def _tuple_table(table) -> bool:
+    return type(table) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in table
+    )
+
+
+def test_dihedral_table_is_the_rotation_reflection_formula():
+    """t^a * s^b times t^c * s^d is t^(a +- c) * s^(b+d), element i + m*j."""
+    for order in range(6, 97, 2):
+        m = order // 2
+        table = tuple(
+            tuple(
+                (a + (c if b == 0 else -c)) % m + m * ((b + d) % 2)
+                for d in (0, 1)
+                for c in range(m)
+            )
+            for b in (0, 1)
+            for a in range(m)
+        )
+        g = dihedral(order)
+        assert g.table == table and _tuple_table(g.table)
+        assert g.generators == (1, m)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [(cyclic(2), cyclic(3)), (cyclic(3), cyclic(2)), (cyclic(4), cyclic(6)),
+     (klein_four(), cyclic(3)), (cyclic(5), klein_four()), (klein_four(), klein_four()),
+     (dihedral(6), cyclic(2)), (cyclic(3), dihedral(8)), (dihedral(6), dihedral(10))],
+    ids=["C2xC3", "C3xC2", "C4xC6", "V4xC3", "C5xV4", "V4xV4", "D6xC2", "C3xD8",
+         "D6xD10"],
+)
+def test_direct_product_table_is_the_componentwise_formula(g, h):
+    nh = h.order
+    table = tuple(
+        tuple(g.table[a][c] * nh + h.table[b][d] for c in range(g.order) for d in range(nh))
+        for a in range(g.order)
+        for b in range(nh)
+    )
+    p = direct_product(g, h)
+    assert p.table == table and _tuple_table(p.table)
+    assert p.identity == g.identity * nh + h.identity
+
+
 def test_direct_product_refuses_orders_over_the_cap():
     # checked before the 101*100 x 101*100 table is built
     with pytest.raises(ValueError, match="group too large"):
