@@ -10,11 +10,8 @@ from .assembly import (
     BlockInfo,
     RealizationSpace,
     assemble,
-    block_replace,
     build_realization,
-    first_level,
     induced_translation,
-    last_level,
     predicted_point_count,
 )
 from .blocks import asymmetric_block, block_edge_count

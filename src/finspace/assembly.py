@@ -1,11 +1,11 @@
 """Splicing posets together out of blocks.
 
-Two primitives: replacing a single point of a poset by a whole block, and
-assembling a set of named blocks along block-level connections, where a
-connection draws a complete bipartite set of covers from the last level
-of the lower block to the first level of the upper block.
+One primitive, ``assemble``: the disjoint union of named blocks along
+block-level connections, where a connection draws a complete bipartite
+set of covers from the last level of the lower block to the first level
+of the upper block.
 
-On top of these sits ``build_realization``: given a finite group with
+On top of it sits ``build_realization``: given a finite group with
 generators, it lays one degree-0 block per group element and, per colored
 Cayley edge, one edge block plus two flanking second-story blocks whose
 family indices encode the edge color and its orientation.  The resulting
@@ -19,57 +19,11 @@ from dataclasses import dataclass
 
 from .blocks import asymmetric_block
 from .groups import FiniteGroup
-from .poset import Poset, make_poset
+from .poset import Poset, make_poset  # noqa: F401 (the benchmark wraps assembly.make_poset)
 
 
 def _at_level(p: Poset, level: int) -> list[int]:
     return [i for i, lvl in enumerate(p._levels) if lvl == level]
-
-
-def first_level(p: Poset) -> tuple[str, ...]:
-    """Points at level 1."""
-    return tuple(p.points[i] for i in _at_level(p, 1))
-
-
-def last_level(p: Poset) -> tuple[str, ...]:
-    """Points at the maximal level (not the same as maximal points)."""
-    return tuple(p.points[i] for i in _at_level(p, max(p._levels, default=0)))
-
-
-def block_replace(x_space: Poset, x: str, block: Poset) -> Poset:
-    """Replace the point x by an entire block.
-
-    Former in-covers of x are rewired to every first-level point of the
-    block, former out-covers to every last-level point.  Block point names
-    must not collide with the remaining points; the covering property is
-    re-validated by construction of the result.
-    """
-    if x not in x_space._index:
-        raise KeyError(f"no such point: {x!r}")
-    if not block.points:
-        raise ValueError("empty block")
-    remaining = set(x_space.points) - {x}
-    clash = remaining & set(block.points)
-    if clash:
-        raise ValueError(f"block points collide with host points: {sorted(clash)!r}")
-
-    firsts = first_level(block)
-    lasts = last_level(block)
-    points: list[str] = []
-    for p in x_space.points:
-        if p == x:
-            points.extend(block.points)
-        else:
-            points.append(p)
-    covers: set[tuple[str, str]] = set(block.covers)
-    for a, b in x_space.covers:
-        if a != x and b != x:
-            covers.add((a, b))
-        elif b == x:
-            covers.update((a, f) for f in firsts)
-        elif a == x:
-            covers.update((l, b) for l in lasts)
-    return make_poset(points, covers)
 
 
 def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Poset:

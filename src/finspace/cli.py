@@ -2,15 +2,18 @@
 
 Subcommands: build-fk, build-cayley, build-space, aut, verify,
 family-check.  The requested format goes to stdout, diagnostics to
-stderr.  Exit codes: 0 success, 1 verification failure or an operational
-limit (oracle size, engine budget), 2 usage error (bad arguments, bad
-group spec, malformed JSON).
+stderr.  Exit codes: 0 success, 1 verification failure, an operational
+limit (oracle size, engine budget) or a reader that closed stdout early
+(``finspace aut space.json | head -n 1``: no traceback, the rest of the
+output is dropped), 2 usage error (bad arguments, bad group spec,
+malformed JSON).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -130,10 +133,9 @@ def _cmd_build_cayley(args) -> int:
     elif args.format == "dot":
         print(digraph_to_dot(graph, name="cayley"), end="")
     else:
-        colors = {c for _, _, c in graph.arcs}
         print(
             f"{len(graph.vertices)} vertices, {len(graph.arcs)} edges, "
-            f"{len(colors)} color(s)"
+            f"{len(graph.out)} color(s)"
         )
     return 0
 
@@ -272,7 +274,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, as the Python docs
+        # advise, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

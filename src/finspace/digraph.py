@@ -1,10 +1,10 @@
 """Directed graphs with integer edge colors.
 
-The shared language for group Cayley graphs and Hasse diagrams: a vertex
-list plus a set of (source index, target index, color) arcs.  Names are
-labels, for I/O and for ``make_digraph``, which takes edges by name.
-Values are immutable and hashable; adjacency structures are cached on
-first use.
+The shared language for group Cayley graphs and Hasse diagrams: vertex
+names plus, per edge color, each vertex's sorted targets, as ``Poset``
+stores its upper covers.  Names are labels, for I/O and for
+``make_digraph``, which takes edges by name.  Values are immutable and
+hashable; arc sets and adjacency structures are built on first read.
 """
 
 from __future__ import annotations
@@ -12,15 +12,48 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
-Edge = tuple[str, str, int]
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _check_rows(names, rows, what: str, loop: str) -> None:
+    """The checks that ``Poset.up`` and each layer of ``ColoredDigraph.out``
+    share: one row per name, each a sorted tuple of distinct int indices in
+    range, none its own.  ``what`` names a row's entries in messages, and
+    ``loop`` formats the one about an own index."""
+    n = len(names)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} tuples of {what}s, got {len(rows)}")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise ValueError(f"an {what} is not an int index")
+    for i, ys in enumerate(rows):
+        x = names[i]
+        if ys != tuple(sorted(set(ys))):
+            raise ValueError(f"{what}s of {x!r} are not sorted and distinct")
+        if ys and (ys[0] < 0 or ys[-1] >= n):
+            raise ValueError(f"an {what} of {x!r} is out of range")
+        if i in ys:
+            raise ValueError(loop.format(x))
+
+
+def _color(c):
+    if type(c) is not int or c < 1:
+        raise ValueError(f"edge color must be a positive integer, got {c!r}")
+    return c
 
 
 @dataclass(frozen=True)
 class ColoredDigraph:
+    """``out`` holds (c, rows) per edge color c, colors increasing, where
+    ``rows[i]`` is the sorted tuple of the indices of i's c-colored
+    targets.  A color with no arcs has no layer, so equal arc sets give
+    equal values.  Violations raise ``ValueError`` at construction time.
+    """
+
     vertices: tuple[str, ...]
-    arcs: frozenset[tuple[int, int, int]]
+    out: tuple[tuple[int, Rows], ...]
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
@@ -28,48 +61,55 @@ class ColoredDigraph:
             raise ValueError("a vertex name is not a str")
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex identifiers")
-        for s, t, c in self.arcs:
-            if not (type(s) is type(t) is int and 0 <= s < n and 0 <= t < n):
-                raise ValueError(f"arc ({s!r}, {t!r}, {c!r}) has no such vertex")
-            if s == t:
-                raise ValueError(f"self-loop on {self.vertices[s]!r}")
-            if type(c) is not int or c < 1:
-                raise ValueError(f"edge color must be a positive integer, got {c!r}")
+        colors = [_color(c) for c, _ in self.out]
+        if colors != sorted(set(colors)):
+            raise ValueError(f"edge colors {colors!r} are not increasing")
+        for c, rows in self.out:
+            _check_rows(self.vertices, rows, "out-neighbour", "self-loop on {!r}")
+            if not any(rows):
+                raise ValueError(f"color {c} has no arcs")
 
     @cached_property
-    def edges(self) -> frozenset[Edge]:
+    def arcs(self) -> frozenset[tuple[int, int, int]]:
+        """The arcs as (source index, target index, color)."""
+        return frozenset(
+            (s, t, c) for c, rows in self.out for s, ts in enumerate(rows) for t in ts
+        )
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str, int]]:
         """The arcs as (source, target, color) with vertex names."""
         v = self.vertices
         return frozenset((v[s], v[t], c) for s, t, c in self.arcs)
 
     @cached_property
-    def _incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def _incidence(self) -> tuple[Rows, Rows]:
         """(nbrs, offsets): per vertex, its edges' other endpoints and, at the
         same positions, n times the rank of each edge's (direction, color)
         channel among this digraph's channels, outgoing before incoming.
         With class names below n, ``offset + class`` sorts as the
         (direction, color, class) triple does."""
         n = len(self.vertices)
-        colors = sorted({c for _, _, c in self.arcs})
-        out = {c: i * n for i, c in enumerate(colors)}
-        into = {c: (len(colors) + i) * n for i, c in enumerate(colors)}
         nbrs: list[list[int]] = [[] for _ in self.vertices]
         offsets: list[list[int]] = [[] for _ in self.vertices]
-        for s, t, c in self.arcs:
-            nbrs[s].append(t)
-            offsets[s].append(out[c])
-            nbrs[t].append(s)
-            offsets[t].append(into[c])
+        for rank, (_, rows) in enumerate(self.out):
+            into = (len(self.out) + rank) * n
+            for s, ts in enumerate(rows):
+                nbrs[s] += ts
+                offsets[s] += [rank * n] * len(ts)
+                for t in ts:
+                    nbrs[t].append(s)
+                    offsets[t].append(into)
         return tuple(map(tuple, nbrs)), tuple(map(tuple, offsets))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __repr__(self) -> str:
-        colors = {c for _, _, c in self.arcs}
+        count = sum(len(ts) for _, rows in self.out for ts in rows)
         return (
             f"ColoredDigraph({len(self.vertices)} vertices, "
-            f"{len(self.arcs)} edges, {len(colors)} colors)"
+            f"{count} edges, {len(self.out)} colors)"
         )
 
 
@@ -78,17 +118,23 @@ def make_digraph(vertices, edges) -> ColoredDigraph:
     name, target name, color)."""
     vertices = tuple(vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    arcs = set()
+    layers: dict[int, list[set[int]]] = {}
     for s, t, c in edges:
         if s not in index or t not in index:
             raise ValueError(f"edge ({s!r}, {t!r}, {c}) uses an unknown vertex")
-        arcs.add((index[s], index[t], c))
-    return ColoredDigraph(vertices, frozenset(arcs))
+        if c not in layers:
+            layers[_color(c)] = [set() for _ in vertices]
+        layers[c][index[s]].add(index[t])
+    return ColoredDigraph(vertices, tuple(
+        (c, tuple(tuple(sorted(ts)) for ts in rows)) for c, rows in sorted(layers.items())
+    ))
 
 
 def strip_colors(d: ColoredDigraph) -> ColoredDigraph:
     """Forget edge colors: every edge becomes color 1 (duplicates collapse)."""
-    return ColoredDigraph(d.vertices, frozenset((s, t, 1) for s, t, _ in d.arcs))
+    layers = zip(*(rows for _, rows in d.out))
+    rows = tuple(tuple(sorted(set(chain.from_iterable(ts)))) for ts in layers)
+    return ColoredDigraph(d.vertices, ((1, rows),) if d.out else ())
 
 
 def digraph_to_json_dict(d: ColoredDigraph) -> dict:

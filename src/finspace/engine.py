@@ -42,11 +42,12 @@ group order is the product of the base-point orbit sizes.  Automorphisms
 known beforehand (verify passes the certified translations t_s) join the
 forest before depth 0 and prune its candidates; that no further map
 exists, the upper bound, is still decided by the search alone.  Every map
-emitted by the search is checked by one edge test, ``_carries``, and
-against the seed coloring, so refinement and the walk are pruning
-devices, never a source of truth.  The same edge test serves a
-factorial-time oracle over all vertex bijections, for cross-validation on
-small graphs, and part 2 of the certificate.
+emitted by the search is checked by one edge test, ``_carries``, on the
+digraphs' per-color rows (``ColoredDigraph.out``), and against the seed
+coloring, so refinement and the walk are pruning devices, never a source
+of truth.  The same edge test serves a factorial-time oracle over all
+vertex bijections, for cross-validation on small graphs, and part 2 of
+the certificate.
 
 On top of the search: poset isomorphism (``isomorphic``), the realization
 certificate (``verify_realization``, exact on the generators' translations
@@ -100,9 +101,9 @@ class Refinement:
 
 
 def hasse_digraph(p: Poset) -> ColoredDigraph:
-    """The covering relation as a digraph, low to high, all edges color 1."""
-    arcs = frozenset((i, j, 1) for i, ys in enumerate(p.up) for j in ys)
-    return ColoredDigraph(p.points, arcs)
+    """The covering relation as a digraph, low to high, all edges color 1:
+    its one layer of rows is ``p.up`` itself."""
+    return ColoredDigraph(p.points, ((1, p.up),) if any(p.up) else ())
 
 
 # -- refinement --------------------------------------------------------
@@ -225,9 +226,16 @@ def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
 # -- search ------------------------------------------------------------
 
 
-def _carries(sigma: VertexPerm, edges_a, edges_b) -> bool:
-    """Whether sigma sends every (source, target, color) of edges_a into edges_b."""
-    return all((sigma[s], sigma[t], c) in edges_b for s, t, c in edges_a)
+def _carries(sigma: VertexPerm, out_a, out_b) -> bool:
+    """Whether sigma, a bijection, carries one digraph's ``out`` layers onto
+    another's: the colors agree and, per color and vertex s, the sorted
+    images of s's row are the row of sigma[s]."""
+    image = sigma.__getitem__
+    return [c for c, _ in out_a] == [c for c, _ in out_b] and all(
+        tuple(sorted(map(image, row))) == moved
+        for (_, rows_a), (_, rows_b) in zip(out_a, out_b)
+        for row, moved in zip(rows_a, map(rows_b.__getitem__, sigma))
+    )
 
 
 def _unique_neighbours(inc, colors: list[int], x: int) -> dict[int, int]:
@@ -284,8 +292,8 @@ class _PairSearch:
         self.n = len(a.vertices)
         self.inc_a = a._incidence
         self.inc_b = b._incidence
-        self.edges_a = a.arcs
-        self.edges_b = b.arcs
+        self.out_a = a.out
+        self.out_b = b.out
         self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
         self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
         self.root = _refine(self.inc_a, self.keys_a)
@@ -333,10 +341,9 @@ class _PairSearch:
         return None
 
     def _accept(self, sigma: VertexPerm) -> VertexPerm | None:
-        """sigma, an injection, if it carries every left edge onto a right
-        edge and keeps the seed keys.  Edge counts are equal, so it is then
-        an isomorphism."""
-        if not _carries(sigma, self.edges_a, self.edges_b):
+        """sigma, an injection, if it carries the left arcs onto the right
+        arcs and keeps the seed keys: then it is an isomorphism."""
+        if not _carries(sigma, self.out_a, self.out_b):
             return None
         if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
             return None
@@ -386,17 +393,18 @@ class _PairSearch:
         return None
 
     def find_isomorphism(self) -> VertexPerm | None:
-        """Equal edge-color multisets give both sides the same channel ranks
-        in their incidence offsets, so signatures and bucket keys compare
-        across sides.  An isomorphism keeps root colors, so by induction
-        along the left walk it is the map that the pair walk from the pivot
-        to its image forces: with the walk complete, the pair walks find an
-        isomorphism exactly when one exists, the first in index order, as
-        the search would.  Each forced map is checked to be injective, as
-        matching buckets can merge vertices (directed C6 onto two C3s)."""
+        """Equal edge colors give both sides the same channel ranks in their
+        incidence offsets, so signatures and bucket keys compare across
+        sides; arc counts are left to the trace and the edge test.  An
+        isomorphism keeps root colors, so by induction along the left walk
+        it is the map that the pair walk from the pivot to its image forces:
+        with the walk complete, the pair walks find an isomorphism exactly
+        when one exists, the first in index order, as the search would.
+        Each forced map is checked to be injective, as matching buckets can
+        merge vertices (directed C6 onto two C3s)."""
         if self.n != len(self.keys_b):
             return None
-        if Counter(c for *_, c in self.edges_a) != Counter(c for *_, c in self.edges_b):
+        if [c for c, _ in self.out_a] != [c for c, _ in self.out_b]:
             return None
         root = _refine(self.inc_b, self.keys_b, self.root[1])
         return None if root is None else self._find(0, root[0])
@@ -417,7 +425,7 @@ class _PairSearch:
         known = [tuple(sigma) for sigma in known]
         every = list(range(self.n))
         for sigma in known:
-            if sorted(sigma) != every or not _carries(sigma, self.edges_a, self.edges_a):
+            if sorted(sigma) != every or not _carries(sigma, self.out_a, self.out_a):
                 raise ValueError("a known map is not an automorphism of the digraph")
         parent = list(range(self.n))
 
@@ -471,8 +479,7 @@ def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
         raise ValueError(
             f"oracle limit: {n} vertices exceeds the cap of {ORACLE_VERTEX_LIMIT}"
         )
-    edges = d.arcs
-    found = [p for p in permutations(range(n)) if _carries(p, edges, edges)]
+    found = [p for p in permutations(range(n)) if _carries(p, d.out, d.out)]
     identity = tuple(range(n))
     gens = tuple(sorted(p for p in found if p != identity))
     return AutGroup(generators=gens, order=len(found))
@@ -582,12 +589,12 @@ def verify_realization(
     space = build_realization(group)
     x = space.poset
     d = hasse_digraph(x)
-    valid = _check_generators(space, d.arcs)
+    valid = _check_generators(space, d.out)
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
         point_count=len(x.points),
-        cover_count=len(d.arcs),
+        cover_count=sum(map(len, x.up)),
         inventory=tuple(space.block_inventory().items()),
         minimal=is_minimal(x),
         generators_valid=len(valid),
@@ -595,7 +602,7 @@ def verify_realization(
     )
 
 
-def _check_generators(space: RealizationSpace, edges) -> list[VertexPerm]:
+def _check_generators(space: RealizationSpace, out) -> list[VertexPerm]:
     """Part 2: the translations t_s of the generators s that permute the
     point indices, carry every edge onto an edge, and map each point of the
     vertex block of g into that of g*s.  Vertex blocks come from the
@@ -612,7 +619,7 @@ def _check_generators(space: RealizationSpace, edges) -> list[VertexPerm]:
         image = induced_translation(space, s)
         if (
             sorted(image) == list(range(len(vertex)))
-            and _carries(image, edges, edges)
+            and _carries(image, out, out)
             and all(vertex[image[x]] == group.table[g][s] for x, g in blocks)
         ):
             valid.append(image)

@@ -362,12 +362,8 @@ def cayley_graph(g: FiniteGroup) -> ColoredDigraph:
     One edge (x, g_k * x) of color k per element x and generator g_k; a
     generator of order 2 yields antiparallel edge pairs of its color.
     """
-    arcs = frozenset(
-        (x, y, k)
-        for k, gen in enumerate(g.generators, start=1)
-        for x, y in enumerate(g.table[gen])
-    )
-    return ColoredDigraph(g.elements, arcs)
+    layers = ((k, tuple((y,) for y in g.table[gen])) for k, gen in enumerate(g.generators, 1))
+    return ColoredDigraph(g.elements, tuple(layers))
 
 
 def right_translation(g: FiniteGroup, h: int) -> Perm:

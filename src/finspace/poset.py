@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .digraph import _json_str, _json_text, _quote, _ranked
+from .digraph import _check_rows, _json_str, _json_text, _quote, _ranked
 
 Cover = tuple[str, str]
 
@@ -44,18 +44,7 @@ class Poset:
             raise ValueError("a point name is not a str")
         if len(set(self.points)) != n:
             raise ValueError("duplicate point identifiers")
-        if len(self.up) != n:
-            raise ValueError(f"expected {n} tuples of upper covers, got {len(self.up)}")
-        if not set(map(type, chain.from_iterable(self.up))) <= {int}:
-            raise ValueError("an upper cover is not an int index")
-        for i, ys in enumerate(self.up):
-            x = self.points[i]
-            if ys != tuple(sorted(set(ys))):
-                raise ValueError(f"upper covers of {x!r} are not sorted and distinct")
-            if ys and (ys[0] < 0 or ys[-1] >= n):
-                raise ValueError(f"an upper cover of {x!r} is out of range")
-            if i in ys:
-                raise ValueError(f"reflexive cover ({x!r}, {x!r})")
+        _check_rows(self.points, self.up, "upper cover", "reflexive cover ({0!r}, {0!r})")
         # _levels raises on cycles.  A longer chain from i to its upper cover
         # j leaves i through another upper cover k, and level(k) < level(j).
         # So only the upper covers below i's highest one start a walk, which

@@ -1,23 +1,18 @@
 import importlib
-import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import random_poset
 from finspace import (
     RealizationSpace,
     asymmetric_block,
     assemble,
-    block_replace,
     build_realization,
     cyclic,
     dihedral,
-    first_level,
     induced_translation,
     isomorphic,
     is_minimal,
-    last_level,
     level_of,
     make_poset,
     predicted_point_count,
@@ -26,56 +21,6 @@ from finspace import (
 )
 
 engine = importlib.import_module("finspace.engine")
-
-CHAIN = make_poset(["lo", "mid", "hi"], [("lo", "mid"), ("mid", "hi")])
-
-
-# -- block_replace -----------------------------------------------------------
-
-
-def test_singleton_replacement_is_neutral():
-    spliced = block_replace(CHAIN, "mid", make_poset(["z"], []))
-    assert isomorphic(spliced, CHAIN) is not None
-
-
-def test_replace_chain_middle_with_block():
-    spliced = block_replace(CHAIN, "mid", asymmetric_block(0))
-    assert len(spliced.points) == 10
-    assert sum(1 for x, _ in spliced.covers if x == "lo") == 4
-    assert sum(1 for _, y in spliced.covers if y == "hi") == 4
-    # lo feeds the block's first level, hi drains its last level
-    assert {y for x, y in spliced.covers if x == "lo"} == set(
-        first_level(asymmetric_block(0))
-    )
-
-
-def test_replace_isolated_point_gives_disjoint_union():
-    host = make_poset(["q", "solo"], [])
-    spliced = block_replace(host, "solo", asymmetric_block(3))
-    assert len(spliced.points) == 15
-    assert not any("q" in pair for pair in spliced.covers)
-
-
-def test_replace_errors():
-    with pytest.raises(KeyError, match="no such point"):
-        block_replace(CHAIN, "nope", asymmetric_block(0))
-    with pytest.raises(ValueError, match="empty block"):
-        block_replace(CHAIN, "mid", make_poset([], []))
-    with pytest.raises(ValueError, match="collide"):
-        block_replace(CHAIN, "mid", make_poset(["lo"], []))
-
-
-def test_singleton_replacement_neutral_on_random_posets():
-    rng = random.Random(7_341)
-    done = 0
-    while done < 25:
-        p = random_poset(rng, 15)
-        if not p.points:
-            continue
-        x = p.points[rng.randrange(len(p.points))]
-        spliced = block_replace(p, x, make_poset(["fresh!"], []))
-        assert isomorphic(spliced, p) is not None
-        done += 1
 
 
 # -- assemble -----------------------------------------------------------------
@@ -96,8 +41,10 @@ def test_assemble_two_blocks_complete_bipartite():
         (x, y) for x, y in out.covers if x.startswith("lo/") and y.startswith("hi/")
     }
     assert len(crossings) == 16  # 4 top points x 4 bottom points
-    assert {x for x, _ in crossings} == {f"lo/{p}" for p in last_level(asymmetric_block(0))}
-    assert {y for _, y in crossings} == {f"hi/{p}" for p in first_level(asymmetric_block(0))}
+    block = asymmetric_block(0)
+    at = {lvl: {p for p in block.points if level_of(block, p) == lvl} for lvl in (1, 2)}
+    assert {x for x, _ in crossings} == {f"lo/{p}" for p in at[2]}
+    assert {y for _, y in crossings} == {f"hi/{p}" for p in at[1]}
 
 
 def test_plan_rejects_cycles_and_unknown_names():
@@ -121,11 +68,14 @@ def test_assemble_rejects_a_block_connected_to_itself():
         assemble({"a": make_poset(["x", "y"], [])}, {("a", "a")})
 
 
-def test_first_and_last_level_use_levels_not_maximality():
-    # d is maximal but sits at level 1, so it is not in the last level
-    p = make_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c")])
-    assert set(first_level(p)) == {"a", "b", "d"}
-    assert set(last_level(p)) == {"c"}
+def test_assemble_connects_levels_not_maximal_points():
+    # d is maximal but sits at level 1, below the last level, so it gets no
+    # cover into hi; hi's first level is its minimal points x and z.
+    lower = make_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c")])
+    upper = make_poset(["x", "y", "z"], [("x", "y")])
+    out = assemble({"lo": lower, "hi": upper}, {("lo", "hi")})
+    crossings = {(x, y) for x, y in out.covers if y.startswith("hi/") and x.startswith("lo/")}
+    assert crossings == {("lo/c", "hi/x"), ("lo/c", "hi/z")}
 
 
 # -- realization space --------------------------------------------------------

@@ -362,6 +362,35 @@ def test_known_automorphisms_prune_depth_zero_only():
     assert automorphisms(d, group.generators).order == 192
 
 
+def _carries_by_triples(sigma, a, b) -> bool:
+    """The edge test by its first definition: sigma sends every arc
+    (source, target, color) of a to an arc of b."""
+    return all((sigma[s], sigma[t], c) in b.arcs for s, t, c in a.arcs)
+
+
+@given(st.data())
+def test_carries_agrees_with_the_triple_definition(data):
+    """On bijections between digraphs with equal arc counts, the row test
+    is the triple test: b is a moved by a vertex and a color permutation
+    (colors 1..4, some unused, maybe no arc at all), sigma is the vertex
+    permutation or any other."""
+    n = data.draw(st.integers(0, 6))
+    names = [f"v{i}" for i in range(n)]
+    cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    a = make_digraph(names, [
+        (names[s], names[t], cells[s * n + t])
+        for s in range(n) for t in range(n) if s != t and cells[s * n + t]
+    ])
+    pi = data.draw(st.permutations(range(n)))
+    recolor = dict(zip(range(1, 5), data.draw(st.permutations(range(1, 5)))))
+    b = make_digraph(names, [(names[pi[s]], names[pi[t]], recolor[c]) for s, t, c in a.arcs])
+    same = make_digraph(names, [(names[pi[s]], names[pi[t]], c) for s, t, c in a.arcs])
+    sigma = tuple(data.draw(st.sampled_from([pi, data.draw(st.permutations(range(n)))])))
+    assert engine._carries(sigma, a.out, b.out) == _carries_by_triples(sigma, a, b)
+    assert engine._carries(sigma, a.out, same.out) == _carries_by_triples(sigma, a, same)
+    assert engine._carries(tuple(pi), a.out, same.out)
+
+
 # -- isomorphism search -----------------------------------------------------
 
 
@@ -840,3 +869,20 @@ def test_verify_and_isomorphic_stay_on_the_index_form(monkeypatch):
     assert "covers" not in p.__dict__ and "covers" not in q.__dict__
     assert len(digraphs) == 3
     assert all("edges" not in d.__dict__ for d in digraphs)
+
+
+def test_verify_builds_no_name_or_triple_view(monkeypatch):
+    """The certificate reads the rows only: after verify, neither the
+    Hasse digraph nor its poset holds ``arcs``, ``edges`` or ``covers``."""
+    built = []
+
+    def keep_digraph(p):
+        built.append((p, hasse_digraph(p)))
+        return built[-1][1]
+
+    monkeypatch.setattr(engine, "hasse_digraph", keep_digraph)
+    assert verify_realization(cyclic(12)).passed
+    [(poset, digraph)] = built
+    assert digraph.out[0][1] is poset.up
+    for value in (poset, digraph):
+        assert not {"arcs", "edges", "covers"} & set(vars(value))

@@ -269,6 +269,30 @@ def test_outputs_identical_across_hash_seeds(capsys, tmp_path):
     assert outputs[0][0].strip().endswith("PASS")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_without_a_traceback(capsys, tmp_path, unbuffered):
+    """``finspace aut space.json | head -n 1``: the reader is gone before
+    the first write.  Buffered, the output fits in the buffer and the
+    write fails at the flush; unbuffered, at the first print."""
+    space = tmp_path / "space.json"
+    space.write_text(run(capsys, "build-space", "cyclic:3", "--format", "json")[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(finspace.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "finspace.cli", "aut", str(space)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
 # sha256 of each command's stdout.  A change here is a change of output.
 STDOUT_SHA256 = {
     "build-space cyclic:6 --format json":

@@ -384,6 +384,16 @@ def test_isomorphic_finds_relabeling():
     assert mapping == {"a": "x", "b": "y", "c": "z"}
 
 
+@given(posets(max_points=12), st.randoms(use_true_random=False))
+def test_isomorphic_finds_random_relabellings(p, rng):
+    order = list(range(len(p.points)))
+    rng.shuffle(order)
+    name = {x: f"q{order[i]}" for i, x in enumerate(p.points)}
+    q = make_poset(sorted(name.values()), [(name[x], name[y]) for x, y in p.covers])
+    mapping = isomorphic(p, q)
+    assert mapping is not None and _is_cover_bijection(p, q, mapping)
+
+
 def test_isomorphic_rejects_chain_vs_vee():
     assert isomorphic(CHAIN3, VEE) is None
 
