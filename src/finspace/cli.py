@@ -3,7 +3,9 @@
 Subcommands: build-fk, build-cayley, build-space, aut, verify,
 family-check.  The requested format goes to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 verification failure, an operational
-limit (oracle size, engine budget) or a reader that closed stdout early
+limit (oracle size, the ``--budget`` of points that verify and
+build-space check before building the space) or a reader that closed
+stdout early
 (``finspace aut space.json | head -n 1``: no traceback, the rest of the
 output is dropped), 2 usage error (bad arguments, bad group spec,
 malformed JSON).
@@ -27,6 +29,7 @@ from .digraph import (
 )
 from .engine import (
     ENGINE_POINT_BUDGET,
+    _refuse_over_budget,
     automorphisms,
     brute_force_automorphisms,
     family_checks,
@@ -140,8 +143,15 @@ def _cmd_build_cayley(args) -> int:
     return 0
 
 
+def _check_budget(args) -> None:
+    if args.budget < 1:
+        raise UsageError("--budget must be a positive number of points")
+
+
 def _cmd_build_space(args) -> int:
+    _check_budget(args)
     group = parse_group_spec(args.group)
+    _refuse_over_budget(group, args.budget)
     space = build_realization(group)
     inventory = ", ".join(
         f"{count} x F{fam}" for fam, count in space.block_inventory().items()
@@ -192,8 +202,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.budget < 1:
-        raise UsageError("--budget must be a positive number of points")
+    _check_budget(args)
     group = parse_group_spec(args.group)
     report = verify_realization(group, budget=args.budget)
     print(report.render())
@@ -220,6 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = {"choices": ["json", "dot", "summary"], "default": "json"}
+    budget = {
+        "type": int,
+        "default": ENGINE_POINT_BUDGET,
+        "help": "maximum realization-space size in points",
+    }
 
     p = sub.add_parser("build-fk", help="emit one block of the asymmetric family")
     p.add_argument("k", type=int, help="family index (>= 0)")
@@ -234,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-space", help="emit a group's realization space")
     p.add_argument("group", help=GROUP_SPEC_HELP)
     p.add_argument("--format", **fmt)
+    p.add_argument("--budget", **budget)
     p.set_defaults(func=_cmd_build_space)
 
     p = sub.add_parser("aut", help="automorphism group of a poset/digraph JSON file")
@@ -252,12 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the three-part realization check")
     p.add_argument("group", help=GROUP_SPEC_HELP)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=ENGINE_POINT_BUDGET,
-        help="maximum realization-space size in points",
-    )
+    p.add_argument("--budget", **budget)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("family-check", help="check blocks 0..k_max")

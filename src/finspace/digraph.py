@@ -5,6 +5,11 @@ names plus, per edge color, each vertex's sorted targets, as ``Poset``
 stores its upper covers.  Names are labels, for I/O and for
 ``make_digraph``, which takes edges by name.  Values are immutable and
 hashable; arc sets and adjacency structures are built on first read.
+
+``ColoredDigraph(...)`` validates every input.  Rows that have passed
+``_check_rows`` already, as a ``Poset``'s ``up`` has, enter through the
+private ``ColoredDigraph._from_checked``, which checks nothing; only
+``engine.hasse_digraph`` and ``strip_colors`` call it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import add
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -36,6 +42,16 @@ def _check_rows(names, rows, what: str, loop: str) -> None:
             raise ValueError(f"an {what} of {x!r} is out of range")
         if i in ys:
             raise ValueError(loop.format(x))
+
+
+def _transpose(rows) -> Rows:
+    """The rows of the reversed arcs: row t lists, in increasing order,
+    each s whose row holds t."""
+    into: list[list[int]] = [[] for _ in rows]
+    for s, ts in enumerate(rows):
+        for t in ts:
+            into[t].append(s)
+    return tuple(map(tuple, into))
 
 
 def _color(c):
@@ -69,6 +85,21 @@ class ColoredDigraph:
             if not any(rows):
                 raise ValueError(f"color {c} has no arcs")
 
+    @classmethod
+    def _from_checked(cls, vertices, out, into=None) -> ColoredDigraph:
+        """A digraph from parts that already meet every check above, which
+        this constructor does not repeat: ``vertices`` is a tuple of
+        distinct str, colors in ``out`` are positive ints in increasing
+        order, and each layer's rows have passed ``_check_rows`` and hold
+        an arc.  ``into``, if given, is per layer the rows of its reversed
+        arcs (``_transpose``), as a poset's ``_down`` is for its ``up``."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "vertices", vertices)
+        object.__setattr__(d, "out", out)
+        if into is not None:
+            d.__dict__["_into"] = into
+        return d
+
     @cached_property
     def arcs(self) -> frozenset[tuple[int, int, int]]:
         """The arcs as (source index, target index, color)."""
@@ -83,24 +114,32 @@ class ColoredDigraph:
         return frozenset((v[s], v[t], c) for s, t, c in self.arcs)
 
     @cached_property
+    def _into(self) -> tuple[Rows, ...]:
+        """Per layer of ``out``, each vertex's sorted sources in that color."""
+        return tuple(_transpose(rows) for _, rows in self.out)
+
+    @cached_property
     def _incidence(self) -> tuple[Rows, Rows]:
         """(nbrs, offsets): per vertex, its edges' other endpoints and, at the
         same positions, n times the rank of each edge's (direction, color)
         channel among this digraph's channels, outgoing before incoming.
         With class names below n, ``offset + class`` sorts as the
-        (direction, color, class) triple does."""
+        (direction, color, class) triple does.  A vertex's neighbours are
+        its rows joined channel by channel; vertices with equal channel
+        degrees share one offsets tuple."""
         n = len(self.vertices)
-        nbrs: list[list[int]] = [[] for _ in self.vertices]
-        offsets: list[list[int]] = [[] for _ in self.vertices]
-        for rank, (_, rows) in enumerate(self.out):
-            into = (len(self.out) + rank) * n
-            for s, ts in enumerate(rows):
-                nbrs[s] += ts
-                offsets[s] += [rank * n] * len(ts)
-                for t in ts:
-                    nbrs[t].append(s)
-                    offsets[t].append(into)
-        return tuple(map(tuple, nbrs)), tuple(map(tuple, offsets))
+        channels = [rows for _, rows in self.out] + list(self._into)
+        if not channels:
+            return ((),) * n, ((),) * n
+        nbrs = channels[0]
+        for rows in channels[1:]:
+            nbrs = tuple(map(add, nbrs, rows))
+        degrees = list(zip(*(map(len, rows) for rows in channels)))
+        shared = {
+            deg: tuple(chain.from_iterable([r * n] * k for r, k in enumerate(deg)))
+            for deg in set(degrees)
+        }
+        return nbrs, tuple(map(shared.__getitem__, degrees))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -131,10 +170,16 @@ def make_digraph(vertices, edges) -> ColoredDigraph:
 
 
 def strip_colors(d: ColoredDigraph) -> ColoredDigraph:
-    """Forget edge colors: every edge becomes color 1 (duplicates collapse)."""
-    layers = zip(*(rows for _, rows in d.out))
-    rows = tuple(tuple(sorted(set(chain.from_iterable(ts)))) for ts in layers)
-    return ColoredDigraph(d.vertices, ((1, rows),) if d.out else ())
+    """Forget edge colors: every edge becomes color 1 (duplicates collapse).
+    A digraph with no layer, or with one layer of color 1, is returned as
+    it is; a single layer of another color keeps its rows."""
+    layers = [rows for _, rows in d.out]
+    if not layers or len(layers) == 1 and d.out[0][0] == 1:
+        return d
+    rows = layers[0] if len(layers) == 1 else tuple(
+        tuple(sorted(set(chain.from_iterable(ts)))) for ts in zip(*layers)
+    )
+    return ColoredDigraph._from_checked(d.vertices, ((1, rows),))
 
 
 def digraph_to_json_dict(d: ColoredDigraph) -> dict:

@@ -5,14 +5,16 @@ partition (McKay and Piperno, "Practical graph isomorphism, II", 2014):
 ``colors[v]`` names v's class by where it starts and ``cells`` maps each
 name to its members.  A round splits classes by the multiset of
 (direction, edge color, neighbor class) over incident edges, each encoded
-as one integer, channel offset plus class name (see
-``ColoredDigraph._incidence``), so a signature is a C-level sort of ints;
-a split's first part keeps the class name and each later part is named by
-its own start, so no other class is renamed.  Only the vertices next to a
-part split off are re-signed, each split class's largest part excepted
-(the "smaller half" rule of Berkholz, Bonsma and Grohe, ESA 2013).
-``_refine`` starts from seed keys and ``_split`` splits one vertex off its
-class.
+as one integer, channel offset plus class name, so a signature is a
+C-level sort of ints; a split's first part keeps the class name and each
+later part is named by its own start, so no other class is renamed.  Only
+the vertices next to a part split off are re-signed, each split class's
+largest part excepted (the "smaller half" rule of Berkholz, Bonsma and
+Grohe, ESA 2013).  ``_refine`` starts from seed keys and ``_split`` splits
+one vertex off its class.  The incidence they read,
+``ColoredDigraph._incidence``, joins each vertex's rows of every layer,
+out-rows then in-rows; a Hasse digraph's in-rows are its poset's lower
+covers, which minimality and ``isomorphic``'s seeds read too.
 
 The search branches on the images of base points, the first being the
 smallest vertex of a non-singleton root class.  First it walks from that
@@ -40,14 +42,22 @@ depth d, deepest first, yield generators fixing the first d base points;
 one union-find forest of their orbits prunes redundant branches, and the
 group order is the product of the base-point orbit sizes.  Automorphisms
 known beforehand (verify passes the certified translations t_s) join the
-forest before depth 0 and prune its candidates; that no further map
-exists, the upper bound, is still decided by the search alone.  Every map
-emitted by the search is checked by one edge test, ``_carries``, on the
-digraphs' per-color rows (``ColoredDigraph.out``), and against the seed
-coloring, so refinement and the walk are pruning devices, never a source
-of truth.  The same edge test serves a factorial-time oracle over all
-vertex bijections, for cross-validation on small graphs, and part 2 of
-the certificate.
+forest before the root is refined, and prune depth 0's candidates; that no
+further map exists, the upper bound, is still decided by the search alone.
+They also end the root refinement early.  Let H be the group the known
+maps generate and m the number of its orbits, the forest's trees.  Every
+round's classes are unions of Aut-orbits (an automorphism keeps the seed
+keys and, round by round, the signatures), and every Aut-orbit is a union
+of H-orbits, so a round has at most m classes.  A round with exactly m has
+the Aut-orbits as its classes, and an orbit partition is equitable: the
+next round would split nothing, so the refinement stops there with the
+same partition, one trace entry short.  Verify's root, the translation
+orbits, takes three rounds instead of four.  Every map emitted by the
+search is checked by one edge test, ``_carries``, on the digraphs'
+per-color rows (``ColoredDigraph.out``), and against the seed coloring, so
+refinement and the walk are pruning devices, never a source of truth.  The
+same edge test serves a factorial-time oracle over all vertex bijections,
+for cross-validation on small graphs, and part 2 of the certificate.
 
 On top of the search: poset isomorphism (``isomorphic``), the realization
 certificate (``verify_realization``, exact on the generators' translations
@@ -66,7 +76,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse, permutations
-from operator import add
+from operator import add, eq
 
 from .assembly import (
     RealizationSpace,
@@ -102,19 +112,25 @@ class Refinement:
 
 def hasse_digraph(p: Poset) -> ColoredDigraph:
     """The covering relation as a digraph, low to high, all edges color 1:
-    its one layer of rows is ``p.up`` itself."""
-    return ColoredDigraph(p.points, ((1, p.up),) if any(p.up) else ())
+    its one layer of rows is ``p.up`` itself, and the rows of its reversed
+    arcs are ``p._down``.  ``Poset`` has checked its names and ``up`` as
+    ``ColoredDigraph`` would, so they are not checked again."""
+    if not any(p.up):
+        return ColoredDigraph._from_checked(p.points, ())
+    return ColoredDigraph._from_checked(p.points, ((1, p.up),), (p._down,))
 
 
 # -- refinement --------------------------------------------------------
 
 
-def _refine(inc, keys: list, target: list | None = None):
+def _refine(inc, keys: list, target: list | None = None, stop: int | None = None):
     """Stable coloring of one digraph from seed keys, with its trace.
 
     Round 0 names each seed class by its start (the number of smaller keys)
     and records the sorted keys themselves, so two sides that pass round 0
     have equal class sizes.  Round 1 signs all: keys are not signatures.
+    ``stop`` (default n, discrete) is a class count that the caller knows
+    to be stable once reached, as the orbit count of known automorphisms is.
     """
     ordered = sorted(keys)
     colors = [bisect_left(ordered, k) for k in keys]
@@ -122,7 +138,8 @@ def _refine(inc, keys: list, target: list | None = None):
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     entry = ((), tuple(ordered))
-    return _settle(inc, colors, cells, range(len(keys)), entry, target)
+    stop = len(keys) if stop is None else stop
+    return _settle(inc, colors, cells, range(len(keys)), entry, stop, target)
 
 
 def _split(inc, colors: list[int], cells: dict, v: int, target: list | None = None):
@@ -137,10 +154,10 @@ def _split(inc, colors: list[int], cells: dict, v: int, target: list | None = No
     colors[v] = c + len(rest)
     cells = {**cells, c: rest, colors[v]: [v]}
     entry = (((c, (len(rest), 1)),), 0)
-    return _settle(inc, colors, cells, set(inc[0][v]), entry, target)
+    return _settle(inc, colors, cells, set(inc[0][v]), entry, len(colors), target)
 
 
-def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
+def _settle(inc, colors: list[int], cells: dict, dirty, entry, stop: int, target):
     """Refine the ordered partition (colors, cells) until it is equitable.
 
     Each round signs the ``dirty`` vertices and splits each class by rank
@@ -155,9 +172,10 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
 
     Each round appends (the split classes with their part sizes, hash of
     the sorted signatures of each class with a re-signed member) to the
-    trace, up to the round that is discrete or splits nothing; isomorphic
-    inputs give equal traces.  A class re-signed without splitting still
-    counts, so equal traces mean equal class-to-class counts.  Returns
+    trace, up to the round that reaches ``stop`` classes or splits
+    nothing; isomorphic inputs give equal traces.  A class re-signed
+    without splitting still counts, so equal traces mean equal
+    class-to-class counts.  Returns
     ((colors, cells), trace), or None at the first round whose entry
     differs from ``target``'s.
     """
@@ -172,7 +190,7 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
         if target is not None and target[len(trace)] != entry:
             return None
         trace.append(entry)
-        if len(cells) == len(colors) or (len(trace) > 1 and not entry[0]):
+        if len(cells) == stop or (len(trace) > 1 and not entry[0]):
             return (colors, cells), trace
         touched: dict[int, list[int]] = {}
         for v in dirty:
@@ -276,19 +294,37 @@ def _unique_walk(inc, colors: list[int], v: int) -> list | None:
     return tree if len(order) == len(colors) else None
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x's tree in a union-find forest, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _join(parent: list[int], sigma: VertexPerm) -> None:
+    """Merge the trees of x and sigma[x] for every x."""
+    for x, y in enumerate(sigma):
+        parent[_find(parent, x)] = _find(parent, y)
+
+
 class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
-    The constructor refines the left root only; ``pivot`` is base[0].  With
-    the walk from it complete (``tree``), depth 0 is the only depth.
-    Otherwise ``path[d]`` is the left side's ((colors, cells), trace) after
-    individualizing ``base[:d]``, and ``path[-1]`` is discrete; both are
-    computed when first read.  The right side is refined against the root's
-    trace when an isomorphism is sought; in automorphism mode it is the
-    left side, so ``path[d]`` serves both.
+    The constructor checks the ``known`` automorphisms (automorphism mode
+    only), joins their orbits in a union-find forest, and refines the left
+    root only, stopping once it has as many classes as the forest has
+    trees; ``pivot`` is base[0].  With the walk from it complete
+    (``tree``), depth 0 is the only depth.  Otherwise ``path[d]`` is the
+    left side's ((colors, cells), trace) after individualizing
+    ``base[:d]``, and ``path[-1]`` is discrete; both are computed when
+    first read.  The right side is refined against the root's trace when
+    an isomorphism is sought; in automorphism mode it is the left side,
+    so ``path[d]`` serves both.
     """
 
-    def __init__(self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None):
+    def __init__(
+        self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None, known=()
+    ):
         self.n = len(a.vertices)
         self.inc_a = a._incidence
         self.inc_b = b._incidence
@@ -296,7 +332,15 @@ class _PairSearch:
         self.out_b = b.out
         self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
         self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
-        self.root = _refine(self.inc_a, self.keys_a)
+        self.known = [tuple(sigma) for sigma in known]
+        every = list(range(self.n))
+        self.forest = every[:]
+        for sigma in self.known:
+            if sorted(sigma) != every or self._accept(sigma) is None:
+                raise ValueError("a known map is not an automorphism of the digraph")
+            _join(self.forest, sigma)
+        trees = sum(map(eq, self.forest, every))
+        self.root = _refine(self.inc_a, self.keys_a, None, trees)
         self.pivot = self._pivot(*self.root[0])
 
     @cached_property
@@ -411,49 +455,37 @@ class _PairSearch:
 
     # automorphism mode (requires a and b to be the same digraph)
 
-    def automorphism_group(self, known=()) -> AutGroup:
+    def automorphism_group(self) -> AutGroup:
         """A generator found at depth d fixes base[:d].  Depths run deepest
         first, so the forest holds the orbits of generators that all fix
         base[:d], and once depth d is done, base[d]'s class in it is its
         orbit under the pointwise stabilizer of base[:d].  Known maps fix
-        no base point, so they join the forest just before depth 0's
-        candidates are tried, and only prune there.  With the walk from
+        no base point, so only depth 0's candidates are tried against the
+        forest that holds them; deeper depths use one without them, and
+        their generators join it before depth 0.  With the walk from
         base[0] complete, an automorphism fixing base[0] fixes every vertex,
         so depth 0 is the only depth, the pair walk to a candidate w yields
         the one automorphism sending base[0] to w if there is any, and the
         order is base[0]'s orbit size."""
-        known = [tuple(sigma) for sigma in known]
-        every = list(range(self.n))
-        for sigma in known:
-            if sorted(sigma) != every or not _carries(sigma, self.out_a, self.out_a):
-                raise ValueError("a known map is not an automorphism of the digraph")
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        def join(sigma: VertexPerm) -> None:
-            for x, y in enumerate(sigma):
-                parent[find(x)] = find(y)
-
-        gens: list[VertexPerm] = list(known)
+        gens: list[VertexPerm] = list(self.known)
+        parent = self.forest if self.depths == 1 else list(range(self.n))
         order = 1
         for depth in reversed(range(self.depths)):
             v, state = self._level(depth)
             colors, cells = state
             cell = sorted(cells[colors[v]])
-            for sigma in known if depth == 0 else ():
-                join(sigma)
+            if depth == 0 and parent is not self.forest:
+                for sigma in gens[len(self.known):]:
+                    _join(self.forest, sigma)
+                parent = self.forest
             for w in cell:
-                if find(w) == find(v):
+                if _find(parent, w) == _find(parent, v):
                     continue
                 sigma = self._branch(depth, state, w)
                 if sigma is not None:
                     gens.append(sigma)
-                    join(sigma)
-            order *= sum(find(w) == find(v) for w in cell)
+                    _join(parent, sigma)
+            order *= sum(_find(parent, w) == _find(parent, v) for w in cell)
         return AutGroup(generators=tuple(sorted(gens)), order=order)
 
 
@@ -466,10 +498,11 @@ def automorphisms(d: ColoredDigraph, known=()) -> AutGroup:
     product of base-point orbit sizes under the generators found at or
     below each branching depth (orbit-stabilizer).  ``known``
     automorphisms, each checked to be one (else ``ValueError``), are
-    reported as generators and prune the depth-0 candidates in their
-    orbits; the search alone still decides that no other map exists.
+    reported as generators, end the root refinement once it has as many
+    classes as they have orbits, and prune the depth-0 candidates in
+    their orbits; the search alone still decides that no other map exists.
     """
-    return _PairSearch(d, d).automorphism_group(known)
+    return _PairSearch(d, d, known=known).automorphism_group()
 
 
 def brute_force_automorphisms(d: ColoredDigraph) -> AutGroup:
@@ -510,10 +543,10 @@ def isomorphic(p: Poset, q: Poset) -> dict[str, str] | None:
         return None
     if sorted(p._levels) != sorted(q._levels):
         return None
-    seed_p = {x: (p._levels[i], len(p._down[i]), len(p.up[i]))
-              for i, x in enumerate(p.points)}
-    seed_q = {x: (q._levels[i], len(q._down[i]), len(q.up[i]))
-              for i, x in enumerate(q.points)}
+    seed_p, seed_q = (
+        dict(zip(r.points, zip(r._levels, map(len, r._down), map(len, r.up))))
+        for r in (p, q)
+    )
     return isomorphism_between(hasse_digraph(p), hasse_digraph(q), seed_p, seed_q)
 
 
@@ -559,6 +592,19 @@ class RealizationReport:
         return "\n".join(lines)
 
 
+def _refuse_over_budget(group: FiniteGroup, budget: int) -> None:
+    """``ValueError`` for a budget below 1, or for a group whose realization
+    space has more points than the budget, known from |G| and |S| alone."""
+    if budget < 1:
+        raise ValueError("budget must be a positive number of points")
+    size = predicted_point_count(group)
+    if size > budget:
+        raise ValueError(
+            f"realization space needs {size} points, over the engine budget "
+            f"of {budget}"
+        )
+
+
 def verify_realization(
     group: FiniteGroup, *, budget: int = ENGINE_POINT_BUDGET
 ) -> RealizationReport:
@@ -578,14 +624,7 @@ def verify_realization(
     (2), which prune its depth-0 orbits; (3)'s upper bound is its search's.
     A budget below 1 raises ``ValueError`` before any work.
     """
-    if budget < 1:
-        raise ValueError("budget must be a positive number of points")
-    size = predicted_point_count(group)
-    if size > budget:
-        raise ValueError(
-            f"realization space needs {size} points, over the engine budget "
-            f"of {budget}"
-        )
+    _refuse_over_budget(group, budget)
     space = build_realization(group)
     x = space.poset
     d = hasse_digraph(x)

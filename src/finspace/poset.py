@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .digraph import _check_rows, _json_str, _json_text, _quote, _ranked
+from .digraph import _check_rows, _json_str, _json_text, _quote, _ranked, _transpose
 
 Cover = tuple[str, str]
 
@@ -77,11 +77,7 @@ class Poset:
     @cached_property
     def _down(self) -> tuple[tuple[int, ...], ...]:
         """Lower covers of each point, as sorted index tuples."""
-        out: list[list[int]] = [[] for _ in self.points]
-        for i, ys in enumerate(self.up):
-            for j in ys:
-                out[j].append(i)
-        return tuple(map(tuple, out))
+        return _transpose(self.up)
 
     @cached_property
     def _levels(self) -> tuple[int, ...]:

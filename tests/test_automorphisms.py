@@ -886,3 +886,123 @@ def test_verify_builds_no_name_or_triple_view(monkeypatch):
     assert digraph.out[0][1] is poset.up
     for value in (poset, digraph):
         assert not {"arcs", "edges", "covers"} & set(vars(value))
+
+
+# -- root refinement stopped at the known maps' orbits ------------------------
+
+
+def _orbit_count(maps, n: int) -> int:
+    """Orbits of the group the maps generate, by breadth-first closure."""
+    seen, count = [False] * n, 0
+    for v in range(n):
+        if not seen[v]:
+            count += 1
+            seen[v] = True
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                for sigma in maps:
+                    if not seen[sigma[x]]:
+                        seen[sigma[x]] = True
+                        stack.append(sigma[x])
+    return count
+
+
+def test_verify_root_stops_at_the_translation_orbits(monkeypatch):
+    """Verify's root refinement ends once it has as many classes as the
+    certified translations have orbits: three trace entries, not the four
+    of a refinement run until a round splits nothing, with equal classes."""
+    roots, known = [], []
+    refine_root, search = engine._refine, engine.automorphisms
+    monkeypatch.setattr(
+        engine, "_refine", lambda *args: roots.append(refine_root(*args)) or roots[-1]
+    )
+    monkeypatch.setattr(
+        engine, "automorphisms", lambda d, maps: known.append((d, maps)) or search(d, maps)
+    )
+    for m in (96, 192, 384):
+        roots.clear()
+        known.clear()
+        assert verify_realization(cyclic(m)).passed
+        [((colors, cells), trace)] = roots
+        [(d, maps)] = known
+        assert len(trace) == 3, m
+        assert len(cells) == _orbit_count(maps, len(d)) == 44
+        (full_colors, _), full_trace = refine_root(d._incidence, [0] * len(d))
+        assert (full_colors, full_trace[:3], len(full_trace)) == (colors, trace, 4)
+
+
+def _without_stop(call):
+    """Run call with the root refinement going on until a round splits nothing."""
+    refine_root = engine._refine
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_refine", lambda inc, keys, target=None, stop=None:
+                   refine_root(inc, keys, target))
+        return call()
+
+
+def _check_known_subsets(d, seed, mask):
+    """Known maps drawn from the generators that a search without them
+    reports give the result of the search that refines to the end, and
+    the order and generated group of the search without known maps."""
+    def search(known=()):
+        return engine._PairSearch(d, d, seed, seed, known).automorphism_group()
+
+    alone = search()
+    known = [g for g, keep in zip(alone.generators, mask) if keep]
+    group = search(known)
+    assert group == _without_stop(lambda: search(known))
+    assert group.order == alone.order
+    assert set(known) <= set(group.generators)
+    n = len(d.vertices)
+    if alone.order <= 5040:
+        assert _closure_order(group.generators, n) == alone.order
+    assert _orbit_count(group.generators, n) == _orbit_count(alone.generators, n)
+
+
+@given(circulant_unions(), st.data())
+def test_known_subsets_give_the_group_of_the_plain_search(drawn, data):
+    d, seed = drawn
+    for keys in (None, seed):
+        count = len(engine._PairSearch(d, d, keys, keys).automorphism_group().generators)
+        mask = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        _check_known_subsets(d, keys, mask)
+        _check_known_subsets(d, keys, [False] * count)
+
+
+@given(seeded_digraphs(max_vertices=7), st.data())
+def test_known_subsets_on_random_digraphs(drawn, data):
+    d, seed = drawn
+    for keys in (None, seed):
+        count = len(engine._PairSearch(d, d, keys, keys).automorphism_group().generators)
+        _check_known_subsets(d, keys, data.draw(st.lists(st.booleans(), min_size=count,
+                                                         max_size=count)))
+
+
+def test_known_subsets_on_the_shrikhande_graph():
+    """Known maps that move the first vertex, with the walk incomplete and
+    a non-neighbour of the first vertex second, as in
+    ``test_known_automorphisms_prune_depth_zero_only``: every subset of the
+    plain search's generators gives order 192."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    first = [(0, 0), (2, 2)]
+    name = "p{}{}".format
+    d = make_digraph(
+        [name(a, b) for a, b in first + [c for c in cells if c not in first]],
+        [(name(a, b), name((a + x) % 4, (b + y) % 4), 1) for a, b in cells for x, y in steps],
+    )
+    count = len(automorphisms(d).generators)
+    for bits in range(2 ** count):
+        _check_known_subsets(d, None, [bits >> i & 1 for i in range(count)])
+
+
+def test_known_maps_must_keep_the_seed():
+    """With seeds, a known map must keep them too: the stop counts on the
+    known maps' orbits lying inside the seeded automorphisms' orbits."""
+    seed = {"a": 0, "b": 0, "c": 1}
+    rotation = (1, 2, 0)
+    assert automorphisms(TRIANGLE, [rotation]).order == 3
+    with pytest.raises(ValueError, match="not an automorphism"):
+        engine._PairSearch(TRIANGLE, TRIANGLE, seed, seed, [rotation])
+    assert engine._PairSearch(TRIANGLE, TRIANGLE, seed, seed).automorphism_group().order == 1

@@ -230,6 +230,43 @@ def test_verify_rejects_non_positive_budget(capsys):
         assert "--budget must be a positive number of points" in err
 
 
+def test_build_space_refuses_over_budget_before_building(capsys, monkeypatch):
+    def fail(group):
+        raise AssertionError("built the space before checking the budget")
+
+    monkeypatch.setattr(cli, "build_realization", fail)
+    code, out, err = run(capsys, "build-space", "cyclic:48", "--budget", "100")
+    assert (code, out) == (1, "")
+    assert "needs 2112 points, over the engine budget of 100" in err
+    code, out, err = run(capsys, "build-space", "symmetric:6")
+    assert (code, out) == (1, "")
+    assert "needs 70560 points, over the engine budget of 20000" in err
+    for budget in ("0", "-3"):
+        code, out, err = run(capsys, "build-space", "cyclic:3", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert "--budget must be a positive number of points" in err
+
+
+def test_build_space_within_budget(capsys):
+    code, out, _ = run(capsys, "build-space", "cyclic:3", "--budget", "132")
+    assert code == 0
+    assert len(poset_from_json(out).points) == 132
+
+
+def test_output_is_the_same_under_python_O(capsys, tmp_path):
+    """``python -O`` strips asserts; no check or output may depend on one."""
+    space = tmp_path / "space.json"
+    space.write_text(run(capsys, "build-space", "cyclic:12", "--format", "json")[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(finspace.__file__).resolve().parents[1])}
+    for argv in (["verify", "cyclic:12"], ["aut", str(space)]):
+        code, out, _ = run(capsys, *argv)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "finspace.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+
+
 def test_family_check(capsys):
     code, out, _ = run(capsys, "family-check", "2")
     assert code == 0

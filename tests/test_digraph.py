@@ -1,4 +1,6 @@
+import importlib
 import json
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -7,14 +9,20 @@ from hypothesis import example, given
 from conftest import named_digraphs, posets, reference_digraph_dot, seeded_digraphs
 from finspace import (
     ColoredDigraph,
+    build_realization,
+    cyclic,
     digraph_from_json,
     digraph_to_dot,
     digraph_to_json,
+    dihedral,
     hasse_digraph,
     make_digraph,
     strip_colors,
+    symmetric,
 )
 from finspace.digraph import digraph_to_json_dict
+
+digraph_module = importlib.import_module("finspace.digraph")
 
 # -- construction and validation ------------------------------------------
 
@@ -145,3 +153,115 @@ def test_strip_colors_keeps_each_arc_once_in_color_1(d):
         f"ColoredDigraph({len(d)} vertices, {len(stripped.edges)} edges, "
         f"{1 if d.edges else 0} colors)"
     )
+
+
+# -- construction from checked rows --------------------------------------------
+
+
+def _incidence_by_arcs(d):
+    """The incidence as first built, one arc at a time: per vertex, the
+    other endpoints and n times the rank of each edge's channel, out-layers
+    ranked by color and then in-layers."""
+    n = len(d.vertices)
+    nbrs = [[] for _ in d.vertices]
+    offsets = [[] for _ in d.vertices]
+    for rank, (_, rows) in enumerate(d.out):
+        into = (len(d.out) + rank) * n
+        for s, ts in enumerate(rows):
+            nbrs[s] += ts
+            offsets[s] += [rank * n] * len(ts)
+            for t in ts:
+                nbrs[t].append(s)
+                offsets[t].append(into)
+    return nbrs, offsets
+
+
+def _same_incidence(d) -> bool:
+    """Each vertex has the reference's (offset, neighbour) multiset."""
+    nbrs, offsets = d._incidence
+    ref_nbrs, ref_offsets = _incidence_by_arcs(d)
+    return len(nbrs) == len(offsets) == len(d) and all(
+        len(nbrs[v]) == len(offsets[v])
+        and Counter(zip(offsets[v], nbrs[v])) == Counter(zip(ref_offsets[v], ref_nbrs[v]))
+        for v in range(len(d))
+    )
+
+
+LADDER = [cyclic(12), cyclic(48), symmetric(4), dihedral(24)]
+
+
+@given(posets(max_points=12))
+@example(build_realization(LADDER[0]).poset)
+@example(build_realization(LADDER[1]).poset)
+@example(build_realization(LADDER[2]).poset)
+@example(build_realization(LADDER[3]).poset)
+def test_hasse_digraph_is_the_validated_digraph(p):
+    """The unchecked construction gives the value ``ColoredDigraph`` builds
+    and checks, and the incidence of the per-arc reference."""
+    d = hasse_digraph(p)
+    assert d == ColoredDigraph(p.points, ((1, p.up),) if any(p.up) else ())
+    assert _same_incidence(d)
+
+
+@given(named_digraphs(), seeded_digraphs())
+def test_incidence_matches_the_per_arc_builder(named, seeded):
+    assert _same_incidence(named)
+    assert _same_incidence(seeded[0])
+
+
+def test_vertices_of_equal_degrees_share_offsets():
+    """One offsets tuple per (out-degree, in-degree) pair: 20 on a 528-point
+    realization space."""
+    p = build_realization(cyclic(12)).poset
+    _, offsets = hasse_digraph(p)._incidence
+    degrees = set(zip(map(len, p.up), map(len, p._down)))
+    assert len({id(o) for o in offsets}) == len(degrees) == 20
+
+
+def _count_checks(monkeypatch) -> list:
+    checks = []
+    check = digraph_module._check_rows
+    monkeypatch.setattr(
+        digraph_module, "_check_rows", lambda *args: checks.append(1) or check(*args)
+    )
+    return checks
+
+
+@pytest.mark.parametrize("group", LADDER[:3], ids=["cyclic:12", "cyclic:48", "symmetric:4"])
+def test_hasse_digraph_checks_no_row_again(monkeypatch, group):
+    """The poset has checked its rows: the Hasse digraph and the stripped
+    digraph check none, while ``ColoredDigraph(...)`` still checks and
+    rejects bad rows."""
+    p = build_realization(group).poset
+    checks = _count_checks(monkeypatch)
+    d = hasse_digraph(p)
+    d._incidence
+    assert strip_colors(d) is d
+    assert checks == []
+    assert ColoredDigraph(p.points, ((1, p.up),)) == d
+    assert checks == [1]
+    bad = (tuple(reversed(p.up[0])),) + p.up[1:]
+    with pytest.raises(ValueError, match="not sorted and distinct"):
+        ColoredDigraph(p.points, ((1, bad),))
+    out_of_range = ((len(p),),) + p.up[1:]
+    with pytest.raises(ValueError, match="out of range"):
+        ColoredDigraph(p.points, ((1, out_of_range),))
+
+
+@given(named_digraphs())
+@example(make_digraph([], []))
+@example(make_digraph(["a", "b"], [("a", "b", 1)]))
+@example(make_digraph(["a", "b"], [("a", "b", 4), ("b", "a", 4)]))
+def test_strip_colors_reuses_checked_rows(d):
+    """No layer, or one layer of color 1: the digraph itself.  One layer of
+    another color: the same rows in color 1.  The result always equals the
+    checked construction."""
+    stripped = strip_colors(d)
+    colors = [c for c, _ in d.out]
+    if colors in ([], [1]):
+        assert stripped is d
+    elif len(colors) == 1:
+        assert stripped.out[0][1] is d.out[0][1]
+    assert stripped == ColoredDigraph(d.vertices, stripped.out)
+    assert [c for c, _ in stripped.out] == ([1] if colors else [])
+    assert _same_incidence(stripped)
