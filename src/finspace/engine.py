@@ -16,25 +16,28 @@ one vertex off its class.  The incidence they read,
 out-rows then in-rows; a Hasse digraph's in-rows are its poset's lower
 covers, which minimality and ``isomorphic``'s seeds read too.
 
-The search branches on the images of base points, the first being the
-smallest vertex of a non-singleton root class.  First it walks from that
-pivot v along unique neighbours: u is one of x if it is the only
-neighbour of x in its bucket, keyed ``offset + colors[u]`` by root class
-as a signature is (Traces, by McKay and Piperno, likewise treats singleton
-cells as cheap splitters).  Every automorphism keeps the root classes, so
-one that fixes x maps x's bucket onto itself and fixes its unique
-neighbour; by induction it fixes all the walk reaches.  If the walk
-reaches every vertex, the stabilizer of v is trivial: depth 0 is the only
-depth, and for each candidate image w the same walk run from w on the
-right side (a pair walk) forces the only map that can send v to w.  It is
-accepted only if it is injective, carries every edge and keeps the seed
-keys.  Injectivity is checked on its own because matching buckets do not
-imply it: a directed C6 walks onto two disjoint directed C3s with every
-bucket matched.  If the walk is incomplete, the search refines instead:
-the left digraph individualizes the smallest vertex of a non-singleton
-class, so its refinements form a single path down to a discrete leaf,
-computed once, and the right digraph is refined against the left path's
-trace, abandoning a branch at the first round that differs.
+The search branches on the images of base points.  The left side
+descends once from the root.  At each depth the pivot is the smallest
+vertex of a non-singleton class, and the depth walks along unique
+neighbours from the pivot and from every vertex alone in its class: u is
+the unique neighbour of x if it is the only neighbour of x in its bucket,
+keyed ``offset + colors[u]`` by class as a signature is (Traces, by McKay
+and Piperno, likewise treats singleton cells as cheap splitters).  An
+automorphism fixing the earlier base points keeps the depth's classes, so
+it fixes the singletons; fixing the pivot too, it maps the bucket of each
+x it fixes onto itself, so by induction it fixes all the walk reaches.
+The descent stops at the first depth whose walk reaches every vertex (at
+once on a discrete partition, which has no pivot); at any other depth it
+individualizes the pivot and refines one level down.  The right digraph
+is refined against the left path's trace, abandoning a branch at the
+first round that differs.  At the last depth the stabilizer of the base
+is trivial: with the pivot sent to a candidate w and each singleton to
+the right class of its name, the walk run on the right side (a pair walk)
+forces the only map that can extend the branch.  It is accepted only if
+it is injective, carries every edge and keeps the seed keys.  Injectivity
+is checked on its own because matching buckets do not imply it: a
+directed C6 walks onto two disjoint directed C3s with every bucket
+matched.
 
 In automorphism mode the right digraph is the left one, so the left path
 is also the right root and the identity branch: alternatives tried at
@@ -71,10 +74,8 @@ sorted by image tuple.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import filterfalse, permutations
 from operator import add, eq
 
@@ -126,18 +127,23 @@ def hasse_digraph(p: Poset) -> ColoredDigraph:
 def _refine(inc, keys: list, target: list | None = None, stop: int | None = None):
     """Stable coloring of one digraph from seed keys, with its trace.
 
-    Round 0 names each seed class by its start (the number of smaller keys)
-    and records the sorted keys themselves, so two sides that pass round 0
-    have equal class sizes.  Round 1 signs all: keys are not signatures.
-    ``stop`` (default n, discrete) is a class count that the caller knows
-    to be stable once reached, as the orbit count of known automorphisms is.
+    Keys are hashable and comparable.  Round 0 names each seed class by
+    its start (the number of smaller keys) and records the sorted (key,
+    count) pairs, so two sides that pass round 0 have equal class sizes.
+    Round 1 signs all: keys are not signatures.  ``stop`` (default n,
+    discrete) is a class count that the caller knows to be stable once
+    reached, as the orbit count of known automorphisms is.
     """
-    ordered = sorted(keys)
-    colors = [bisect_left(ordered, k) for k in keys]
+    counted = sorted(Counter(keys).items())
+    start, at = {}, 0
+    for key, count in counted:
+        start[key] = at
+        at += count
+    colors = list(map(start.__getitem__, keys))
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    entry = ((), tuple(ordered))
+    entry = ((), tuple(counted))
     stop = len(keys) if stop is None else stop
     return _settle(inc, colors, cells, range(len(keys)), entry, stop, target)
 
@@ -226,7 +232,8 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, stop: int, target
 def refine(d: ColoredDigraph, seed: dict | None = None) -> Refinement:
     """Coarsest equitable refinement of the seed coloring (default: all-same).
 
-    Class indices are the ranks of the class names (starts), the order of
+    Seed values must be hashable and comparable with each other.  Class
+    indices are the ranks of the class names (starts), the order of
     the sorted class signatures, so equal inputs give byte-equal outputs.
     """
     if seed is None:
@@ -269,20 +276,26 @@ def _unique_neighbours(inc, colors: list[int], x: int) -> dict[int, int]:
     return unique
 
 
-def _unique_walk(inc, colors: list[int], v: int) -> list | None:
-    """Walk from v along unique neighbours under a coloring that every
-    automorphism keeps, such as the root refinement.
+def _unique_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | None:
+    """Walk along unique neighbours under a partition (colors, cells) that
+    every automorphism in question keeps, from v (if any) and from every
+    vertex alone in its class.
 
-    Returns (u, x, key) for each vertex u reached, u being the one
-    neighbour of x in bucket ``key``, in breadth-first order (so each x's
-    entries are adjacent), or None unless every vertex is reached.  Then
-    an automorphism fixing v fixes every vertex, by induction along the
-    walk: fixing x and keeping colors, it maps x's bucket onto itself.
-    A vertex with every neighbour reached adds nothing and is skipped.
+    Returns (u, x, key) for each vertex u reached from another, u being
+    the one neighbour of x in bucket ``key``, in breadth-first order (so
+    each x's entries are adjacent), or None unless every vertex is
+    reached.  Then such an automorphism fixing v fixes every vertex, by
+    induction along the walk: it fixes the singletons, and fixing x and
+    keeping colors, it maps x's bucket onto itself.  A vertex with every
+    neighbour reached adds nothing and is skipped.
     """
+    order = [members[0] for members in cells.values() if len(members) == 1]
+    if v is not None:
+        order.append(v)
     seen = bytearray(len(colors))
-    seen[v] = 1
-    order, tree = [v], []
+    for u in order:
+        seen[u] = 1
+    tree = []
     for x in order:
         if all(map(seen.__getitem__, inc[0][x])):
             continue
@@ -311,15 +324,15 @@ class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
     The constructor checks the ``known`` automorphisms (automorphism mode
-    only), joins their orbits in a union-find forest, and refines the left
-    root only, stopping once it has as many classes as the forest has
-    trees; ``pivot`` is base[0].  With the walk from it complete
-    (``tree``), depth 0 is the only depth.  Otherwise ``path[d]`` is the
-    left side's ((colors, cells), trace) after individualizing
-    ``base[:d]``, and ``path[-1]`` is discrete; both are computed when
-    first read.  The right side is refined against the root's trace when
-    an isomorphism is sought; in automorphism mode it is the left side,
-    so ``path[d]`` serves both.
+    only), joins their orbits in a union-find forest, refines the left
+    root, stopping once it has as many classes as the forest has trees,
+    and descends from it.  ``path[d]`` is the left side's ((colors,
+    cells), trace) after individualizing ``base[:d]``, and ``base[d]`` is
+    the pivot of ``path[d]``.  ``tree`` is the walk of the last depth, the
+    first one complete; ``base`` ends with that depth's pivot, or is one
+    shorter than ``path`` when ``path[-1]`` is discrete.  The right side
+    is refined against the root's trace when an isomorphism is sought; in
+    automorphism mode it is the left side, so ``path[d]`` serves both.
     """
 
     def __init__(
@@ -340,42 +353,16 @@ class _PairSearch:
                 raise ValueError("a known map is not an automorphism of the digraph")
             _join(self.forest, sigma)
         trees = sum(map(eq, self.forest, every))
-        self.root = _refine(self.inc_a, self.keys_a, None, trees)
-        self.pivot = self._pivot(*self.root[0])
-
-    @cached_property
-    def tree(self) -> list | None:
-        """The complete unique neighbour walk from the pivot, or None."""
-        if self.pivot is None:
-            return None
-        return _unique_walk(self.inc_a, self.root[0][0], self.pivot)
-
-    @cached_property
-    def _descent(self) -> tuple[list[int], list]:
-        base, path = [], [self.root]
-        while (v := self._pivot(*path[-1][0])) is not None:
-            base.append(v)
-            path.append(_split(self.inc_a, *path[-1][0], v))
-        return base, path
-
-    @property
-    def base(self) -> list[int]:
-        return self._descent[0]
-
-    @property
-    def path(self) -> list:
-        return self._descent[1]
-
-    @property
-    def depths(self) -> int:
-        """How many base points are branched on."""
-        return 1 if self.tree is not None else len(self.base)
-
-    def _level(self, depth: int) -> tuple[int, tuple]:
-        """base[depth] and the left (colors, cells) it is chosen in."""
-        if depth == 0:
-            return self.pivot, self.root[0]
-        return self.base[depth], self.path[depth][0]
+        self.base, self.path = [], [_refine(self.inc_a, self.keys_a, None, trees)]
+        while True:
+            colors, cells = self.path[-1][0]
+            v = self._pivot(colors, cells)
+            if v is not None:
+                self.base.append(v)
+            self.tree = _unique_walk(self.inc_a, colors, cells, v)
+            if self.tree is not None:
+                break
+            self.path.append(_split(self.inc_a, colors, cells, v))
 
     @staticmethod
     def _pivot(colors: list[int], cells: dict) -> int | None:
@@ -393,20 +380,26 @@ class _PairSearch:
             return None
         return sigma
 
-    def _extract(self, state_b: tuple) -> VertexPerm | None:
-        cells_b = state_b[1]
-        if len(cells_b) != self.n:
-            return None
-        return self._accept(tuple(cells_b[c][0] for c in self.path[-1][0][0]))
-
-    def _forced(self, colors_b: list[int], w: int) -> VertexPerm | None:
-        """The only map that can send the pivot to w: the walk's tree run
-        from w on the right side.  None where a forced image is missing,
-        shared or taken twice (buckets alone do not make it injective)."""
+    def _leaf(self, state_b: tuple, w: int | None) -> VertexPerm | None:
+        """The only map that can extend a branch to the last depth: each
+        left singleton class onto the right class of its name, the last
+        pivot to w (None on a discrete last level), and the rest as the
+        walk's tree forces on the right side.  None where an image is
+        missing, shared or taken twice (buckets alone do not make it
+        injective), or where the map is no isomorphism."""
+        colors_b, cells_b = state_b
         image = [-1] * self.n
-        image[self.pivot] = w
         used = bytearray(self.n)
-        used[w] = 1
+        for c, members in self.path[-1][0][1].items():
+            if len(members) == 1:
+                right = cells_b.get(c, ())
+                if len(right) != 1:
+                    return None
+                image[members[0]] = right[0]
+                used[right[0]] = 1
+        if w is not None:  # w's class is the pivot's, which no singleton has
+            image[self.base[-1]] = w
+            used[w] = 1
         last = unique = None
         for u, x, key in self.tree:
             if x != last:
@@ -416,21 +409,20 @@ class _PairSearch:
                 return None
             used[y] = 1
             image[u] = y
-        return tuple(image)
+        return self._accept(tuple(image))
 
     def _branch(self, depth: int, state_b: tuple, w: int) -> VertexPerm | None:
         """Map base[depth] to w on the right side, then complete the map."""
-        if self.tree is not None:
-            sigma = self._forced(state_b[0], w)
-            return None if sigma is None else self._accept(sigma)
+        if depth + 1 == len(self.path):
+            return self._leaf(state_b, w)
         nxt = _split(self.inc_b, *state_b, w, self.path[depth + 1][1])
         return None if nxt is None else self._find(depth + 1, nxt[0])
 
     def _find(self, depth: int, state_b: tuple) -> VertexPerm | None:
-        if depth == self.depths:
-            return self._extract(state_b)
-        v, (colors, _) = self._level(depth)
-        for w in sorted(state_b[1][colors[v]]):
+        if depth == len(self.base):  # a discrete last level: nothing to branch on
+            return self._leaf(state_b, None)
+        colors = self.path[depth][0][0]
+        for w in sorted(state_b[1][colors[self.base[depth]]]):
             sigma = self._branch(depth, state_b, w)
             if sigma is not None:
                 return sigma
@@ -440,17 +432,17 @@ class _PairSearch:
         """Equal edge colors give both sides the same channel ranks in their
         incidence offsets, so signatures and bucket keys compare across
         sides; arc counts are left to the trace and the edge test.  An
-        isomorphism keeps root colors, so by induction along the left walk
-        it is the map that the pair walk from the pivot to its image forces:
-        with the walk complete, the pair walks find an isomorphism exactly
-        when one exists, the first in index order, as the search would.
-        Each forced map is checked to be injective, as matching buckets can
-        merge vertices (directed C6 onto two C3s)."""
+        isomorphism that extends a branch keeps the last depth's classes,
+        so by induction along the left walk it is the map the leaf forces:
+        the search finds an isomorphism exactly when one exists, the first
+        in the order candidates are tried.  Each forced map is checked to
+        be injective, as matching buckets can merge vertices (directed C6
+        onto two C3s)."""
         if self.n != len(self.keys_b):
             return None
         if [c for c, _ in self.out_a] != [c for c, _ in self.out_b]:
             return None
-        root = _refine(self.inc_b, self.keys_b, self.root[1])
+        root = _refine(self.inc_b, self.keys_b, self.path[0][1])
         return None if root is None else self._find(0, root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
@@ -462,16 +454,15 @@ class _PairSearch:
         orbit under the pointwise stabilizer of base[:d].  Known maps fix
         no base point, so only depth 0's candidates are tried against the
         forest that holds them; deeper depths use one without them, and
-        their generators join it before depth 0.  With the walk from
-        base[0] complete, an automorphism fixing base[0] fixes every vertex,
-        so depth 0 is the only depth, the pair walk to a candidate w yields
-        the one automorphism sending base[0] to w if there is any, and the
-        order is base[0]'s orbit size."""
+        their generators join it before depth 0.  The stabilizer of the
+        whole base is trivial, so at the last depth the leaf yields the one
+        automorphism sending the pivot to a candidate w, if there is any."""
         gens: list[VertexPerm] = list(self.known)
-        parent = self.forest if self.depths == 1 else list(range(self.n))
+        parent = self.forest if len(self.base) == 1 else list(range(self.n))
         order = 1
-        for depth in reversed(range(self.depths)):
-            v, state = self._level(depth)
+        for depth in reversed(range(len(self.base))):
+            v = self.base[depth]
+            state = self.path[depth][0]
             colors, cells = state
             cell = sorted(cells[colors[v]])
             if depth == 0 and parent is not self.forest:
@@ -492,11 +483,11 @@ class _PairSearch:
 def automorphisms(d: ColoredDigraph, known=()) -> AutGroup:
     """Automorphism group of the colored digraph.
 
-    Generators come out of the search: one pair walk per candidate image
-    of the first base point when the unique neighbour walk from it reaches
-    every vertex, else refinement-pruned backtracking.  The order is the
-    product of base-point orbit sizes under the generators found at or
-    below each branching depth (orbit-stabilizer).  ``known``
+    Generators come out of the search: refinement-pruned backtracking down
+    to the first depth whose unique-neighbour walk is complete, where one
+    pair walk per candidate image of the pivot forces the map.  The order
+    is the product of base-point orbit sizes under the generators found at
+    or below each branching depth (orbit-stabilizer).  ``known``
     automorphisms, each checked to be one (else ``ValueError``), are
     reported as generators, end the root refinement once it has as many
     classes as they have orbits, and prune the depth-0 candidates in
@@ -523,8 +514,8 @@ def isomorphism_between(
 ) -> dict[str, str] | None:
     """A color- and edge-preserving vertex bijection a -> b, or None.
 
-    Optional seeds are vertex colorings (comparable values, shared between
-    the two sides) that any bijection must respect.
+    Optional seeds are vertex colorings (hashable, comparable values, shared
+    between the two sides) that any bijection must respect.
     """
     sigma = _PairSearch(a, b, seed_a, seed_b).find_isomorphism()
     if sigma is None:

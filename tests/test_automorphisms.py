@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from dataclasses import replace
@@ -29,6 +30,7 @@ from finspace import (
     make_digraph,
     make_poset,
     refine,
+    strip_colors,
     symmetric,
     verify_realization,
 )
@@ -54,6 +56,14 @@ def _closure_order(generators, n):
                 seen.add(y)
                 frontier.append(y)
     return len(seen)
+
+
+def _two_copies(d):
+    """Two disjoint copies of d, names prefixed a and b."""
+    return make_digraph(
+        [c + v for c in "ab" for v in d.vertices],
+        [(c + s, c + t, e) for c in "ab" for s, t, e in d.edges],
+    )
 
 
 # -- hasse_digraph -------------------------------------------------------
@@ -158,20 +168,17 @@ def _refine_relabelled(a, keys_a, pi):
 
 
 @pytest.mark.parametrize(
-    "group, traces, classes",
-    [
-        (cyclic(12), [4, 25], 44),
-        (cyclic(48), [4, 97], 44),
-        (symmetric(4), [4, 25], 98),
-        (dihedral(24), [4, 29], 98),
-    ],
+    "group, classes",
+    [(cyclic(12), 44), (cyclic(48), 44), (symmetric(4), 98), (dihedral(24), 98)],
     ids=["cyclic:12", "cyclic:48", "symmetric:4", "dihedral:24"],
 )
-def test_refinement_sequence_on_the_ladder(group, traces, classes):
-    """Trace lengths along the left path and the root class count on the
-    verify ladder, pinned so that a faster refinement cannot change them."""
+def test_refinement_sequence_on_the_ladder(group, classes):
+    """On the verify ladder the walk is complete at the root, so the left
+    path is the root alone: 4 rounds to the slot classes, pinned so that a
+    faster refinement cannot change them."""
     d = hasse_digraph(build_realization(group).poset)
-    assert [len(t) for _, t in engine._PairSearch(d, d).path] == traces
+    [((_, cells), trace)] = engine._PairSearch(d, d).path
+    assert (len(trace), len(cells)) == (4, classes)
     assert len(set(refine(d).vertex_class.values())) == classes
 
 
@@ -210,10 +217,7 @@ def test_split_matches_reference(case):
     root classes with v flagged; class ids are the ranks of class names.
     Two disjoint copies of the drawn digraph leave no root class a singleton."""
     one, seed_one = case
-    d = make_digraph(
-        [c + v for c in "ab" for v in one.vertices],
-        [(c + s, c + t, e) for c in "ab" for s, t, e in one.edges],
-    )
+    d = _two_copies(one)
     seed = {c + v: k for c in "ab" for v, k in seed_one.items()}
     root, _ = engine._refine(d._incidence, [seed[u] for u in d.vertices])
     root_class = refine(d, seed).vertex_class
@@ -342,21 +346,25 @@ def test_known_automorphisms_keep_the_order(drawn, data):
     assert automorphisms(d, ()) == automorphisms(d)
 
 
-def test_known_automorphisms_prune_depth_zero_only():
+def _shrikhande():
     """The Shrikhande graph (Cayley graph of Z4 x Z4), with a non-neighbour
-    of the first vertex second: once the first is individualized, its nine
-    non-neighbours stay one class, on which its stabilizer (order 12) is
-    not transitive.  Known maps that move the first vertex must not prune
-    there, or the order comes out 576."""
+    of the first vertex second."""
     cells = [(a, b) for a in range(4) for b in range(4)]
     steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
     first = [(0, 0), (2, 2)]
     name = "p{}{}".format
-    d = make_digraph(
+    return make_digraph(
         [name(a, b) for a, b in first + [c for c in cells if c not in first]],
-        [(name(a, b), name((a + x) % 4, (b + y) % 4), 1)
-         for a, b in cells for x, y in steps],
+        [(name(a, b), name((a + x) % 4, (b + y) % 4), 1) for a, b in cells for x, y in steps],
     )
+
+
+def test_known_automorphisms_prune_depth_zero_only():
+    """On the Shrikhande graph, once the first vertex is individualized,
+    its nine non-neighbours stay one class, on which its stabilizer (order
+    12) is not transitive.  Known maps that move the first vertex must not
+    prune there, or the order comes out 576."""
+    d = _shrikhande()
     group = automorphisms(d)
     assert group.order == 192
     assert automorphisms(d, group.generators).order == 192
@@ -412,12 +420,13 @@ def test_isomorphism_between_respects_colors():
 
 
 def _count_leaves(monkeypatch) -> list:
+    """What each leaf the search reaches returns, in order."""
     leaves = []
-    extract = engine._PairSearch._extract
+    leaf = engine._PairSearch._leaf
     monkeypatch.setattr(
         engine._PairSearch,
-        "_extract",
-        lambda self, col_b: leaves.append(1) or extract(self, col_b),
+        "_leaf",
+        lambda self, *args: leaves.append(leaf(self, *args)) or leaves[-1],
     )
     return leaves
 
@@ -463,9 +472,9 @@ def test_isomorphism_between_needs_a_bijection():
     walk onto two directed C3s matches: only the injectivity check stops
     a0 and a3 landing on one vertex."""
     c6, c3c3 = _directed_cycles(6), _directed_cycles(3, 3)
-    assert engine._PairSearch(c6, c3c3).tree is not None
+    assert len(engine._PairSearch(c6, c3c3).path) == 1
     assert isomorphism_between(c6, c3c3) is None
-    assert engine._PairSearch(c3c3, c6).tree is None
+    assert len(engine._PairSearch(c3c3, c6).path) == 2
     assert isomorphism_between(c3c3, c6) is None
     assert isomorphism_between(c6, _directed_cycles(6)) is not None
 
@@ -474,29 +483,76 @@ def _undirected(names, pairs):
     return make_digraph(names, [(s, t, 1) for a, b in pairs for s, t in ((a, b), (b, a))])
 
 
+def _root_walk_is_incomplete(d) -> bool:
+    search = engine._PairSearch(d, d)
+    return engine._unique_walk(d._incidence, *search.path[0][0], search.base[0]) is None
+
+
 @pytest.mark.parametrize(
-    "d, order",
+    "d, order, levels",
     [
-        (_undirected("abcde", ["ab", "bc", "cd", "de", "ea"]), 10),
-        (_undirected("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"]), 72),
-        (_directed_cycles(3, 3), 18),
+        (_undirected("abcde", ["ab", "bc", "cd", "de", "ea"]), 10, 2),
+        (_undirected("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"]), 72, 4),
+        (_directed_cycles(3, 3), 18, 2),
     ],
     ids=["undirected-C5", "two-triangles", "two-directed-C3"],
 )
-def test_incomplete_walks_fall_back_to_the_search(d, order):
+def test_incomplete_walks_fall_back_to_the_search(d, order, levels):
     """Each vertex's neighbours share a bucket, or the walk stays in one
-    component, so the walk proves nothing and the refinement search runs."""
-    search = engine._PairSearch(d, d)
-    assert search.tree is None
+    component, so the root walk proves nothing and the search descends
+    until the walk from the pivot and the singletons is complete."""
+    assert _root_walk_is_incomplete(d)
+    assert len(engine._PairSearch(d, d).path) == levels
     group = automorphisms(d)
     assert group.order == order == brute_force_automorphisms(d).order
     assert _closure_order(group.generators, len(d.vertices)) == order
 
 
-def _without_walk(call):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_unique_walk", lambda *args: None)
-        return call()
+_CUBE = "abcdefgh"
+
+
+@pytest.mark.parametrize(
+    "d, order, digest",
+    [
+        (_undirected("abcde", ["ab", "bc", "cd", "de", "ea"]), 10,
+         "c82a773df55a0112b271222748ac811c3f392e5913927ba6a33b397e59441745"),
+        (_undirected("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"]), 72,
+         "7b732b74ca3f4e6cfb909d592fa04920ccb2e2ba419c52990e937aea2c15db88"),
+        (_directed_cycles(3, 3), 18,
+         "89285b4b55b50e3b06467d9b024a5227d859cb268c53de40efc758408fc2d85a"),
+        (_undirected("0123456789", "01 12 23 34 40 57 79 96 68 85 05 16 27 38 49".split()),
+         120, "c5c5080be1bc9b48600e1143aa6d3f9feeba30caffceda74d1c697995321e611"),
+        (_shrikhande(), 192,
+         "be50ded746af26bcfeec80d04eebd7ce566bd5c3986335f85e6ca6123177f46c"),
+        (_undirected(_CUBE, [_CUBE[v] + _CUBE[v ^ b] for v in range(8) for b in (1, 2, 4)
+                             if v < v ^ b]), 48,
+         "c40c4a13a0c8740e3a3b0e14a9111f07ce124d8019299f09afdc9c64128fe347"),
+        (strip_colors(cayley_graph(klein_four())), 8,
+         "6f5b7bdccbc4eb02a9cccca8a41c313807c13c5a67d8dfe40a7f6451e157d81f"),
+        (_two_copies(hasse_digraph(build_realization(cyclic(12)).poset)), 288,
+         "ffef83b9b154ce63ad4d198e2fc60e419215ae5d7106504180f75f6503f4a8c5"),
+    ],
+    ids=["undirected-C5", "two-triangles", "two-directed-C3", "petersen",
+         "shrikhande", "3-cube", "klein-plain", "two-cyclic:12"],
+)
+def test_descent_keeps_the_generators(d, order, digest):
+    """Where the root walk is incomplete, the order and the sha256 of the
+    sorted generators, as the search that individualized every branch down
+    to a discrete partition reported them: below the first complete walk it
+    found no generator, and its leaves were the maps the walk forces."""
+    assert _root_walk_is_incomplete(d)
+    group = automorphisms(d)
+    assert group.order == order
+    assert hashlib.sha256(repr(sorted(group.generators)).encode()).hexdigest() == digest
+
+
+def test_singletons_seed_the_walk():
+    """On two copies of the cyclic:12 space, individualizing a vertex of one
+    copy makes the walk complete: it reaches that copy from the singleton
+    and the other from the new pivot, so the descent stops a level early."""
+    d = _two_copies(hasse_digraph(build_realization(cyclic(12)).poset))
+    search = engine._PairSearch(d, d)
+    assert (len(search.base), len(search.path)) == (2, 2)
 
 
 @st.composite
@@ -526,19 +582,22 @@ def circulant_unions(draw, max_vertices: int = 10):
 
 @given(circulant_unions(), st.data())
 def test_walk_agrees_with_the_refinement_search(drawn, data):
-    """The pair walks give the same orders, generators and isomorphisms as
-    the search with the walk reported incomplete, and as the oracle."""
+    """The search gives the oracle's orders and generators, with seeds or
+    without, and finds an isomorphism exactly when a brute-force search
+    over all bijections does; a relabelled copy is always found."""
     d, seed = drawn
     n = len(d.vertices)
-    group = automorphisms(d)
-    assert group == _without_walk(lambda: automorphisms(d))
-    if n <= 8:  # the oracle takes seconds on 10 vertices
+    small = n <= 8  # the oracle takes seconds on 10 vertices
+    if small:
         oracle = brute_force_automorphisms(d)
+        group = automorphisms(d)
         assert group.order == oracle.order
         assert set(group.generators) <= set(oracle.generators)
-    assert engine._PairSearch(d, d, seed, seed).automorphism_group() == _without_walk(
-        lambda: engine._PairSearch(d, d, seed, seed).automorphism_group()
-    )
+        keys = [seed[v] for v in d.vertices]
+        kept = [g for g in oracle.generators if all(keys[v] == keys[w] for v, w in enumerate(g))]
+        seeded = engine._PairSearch(d, d, seed, seed).automorphism_group()
+        assert seeded.order == 1 + len(kept)
+        assert set(seeded.generators) <= set(kept)
 
     image = data.draw(st.permutations(range(n)))
     names = [f"w{i}" for i in range(n)]
@@ -548,11 +607,12 @@ def test_walk_agrees_with_the_refinement_search(drawn, data):
     other, seed_o = data.draw(circulant_unions())
     for right, right_seed in [(b, seed_b), (other, seed_o)]:
         mapping = isomorphism_between(d, right, seed, right_seed)
-        assert mapping == _without_walk(
-            lambda: isomorphism_between(d, right, seed, right_seed)
-        )
+        if mapping is not None:
+            assert _carries(mapping, d, right, seed, right_seed)
         if right is b:
-            assert mapping is not None and _carries(mapping, d, b, seed, seed_b)
+            assert mapping is not None
+        elif small and len(other.vertices) == n:
+            assert (mapping is not None) == _brute_isomorphic(d, other, seed, seed_o)
 
 
 def test_verify_runs_no_refinement_wave(monkeypatch):
@@ -620,16 +680,23 @@ def test_refinement_only_prunes(monkeypatch):
             assert mapping is None
 
 
-def test_trace_pruning_reaches_no_leaf(monkeypatch):
-    """Non-isomorphic realization spaces are refuted by traces, not leaves."""
+def test_non_isomorphic_spaces_are_refused_at_every_leaf(monkeypatch):
+    """Non-isomorphic realization spaces of equal size pass the root trace,
+    so the pair walks refute them: one leaf per candidate image of the
+    pivot, each refused, and no vertex individualized."""
     leaves = _count_leaves(monkeypatch)
+    splits = []
+    split = engine._split
+    monkeypatch.setattr(engine, "_split", lambda *args: splits.append(1) or split(*args))
     c4 = group_from_permutations([[1, 2, 3, 0], [3, 0, 1, 2]])
     c2c4 = direct_product(cyclic(2), cyclic(4))
-    for g, h in [(klein_four(), c4), (c2c4, dihedral(8))]:
+    for (g, h), count in [((klein_four(), c4), 4), ((c2c4, dihedral(8)), 8)]:
+        leaves.clear()
         a, b = build_realization(g).poset, build_realization(h).poset
         assert len(a.points) == len(b.points)
         assert isomorphic(a, b) is None
-    assert leaves == []
+        assert leaves == [None] * count
+    assert splits == []
 
     # same shape, different edge colors: the root refinement alone refutes
     names = [f"v{i}" for i in range(6)]
@@ -984,14 +1051,7 @@ def test_known_subsets_on_the_shrikhande_graph():
     a non-neighbour of the first vertex second, as in
     ``test_known_automorphisms_prune_depth_zero_only``: every subset of the
     plain search's generators gives order 192."""
-    cells = [(a, b) for a in range(4) for b in range(4)]
-    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    first = [(0, 0), (2, 2)]
-    name = "p{}{}".format
-    d = make_digraph(
-        [name(a, b) for a, b in first + [c for c in cells if c not in first]],
-        [(name(a, b), name((a + x) % 4, (b + y) % 4), 1) for a, b in cells for x, y in steps],
-    )
+    d = _shrikhande()
     count = len(automorphisms(d).generators)
     for bits in range(2 ** count):
         _check_known_subsets(d, None, [bits >> i & 1 for i in range(count)])
