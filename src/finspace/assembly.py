@@ -5,6 +5,20 @@ block-level connections, where a connection draws a complete bipartite
 set of covers from the last level of the lower block to the first level
 of the upper block.
 
+Whether the result is a poset depends only on the blocks and the
+connections, so ``assemble`` checks the block quotient (one point per
+block, one cover per connection) in place of the assembled covers.  If
+the quotient is a poset and the assembled names are distinct, the
+assembled pairs are exactly a covering relation: a point cycle or a
+longer point chain between the ends of a connection projects onto a
+block cycle or a longer block path, and a chain inside one block stays a
+chain of that block.  Conversely, every last-level point of a block is
+at or above one of its first-level points, so a block cycle is a point
+cycle, and a connection (L, U) implied by a block path L -> M -> ... -> U
+is implied by a point chain through M.  A point's level is its block's
+offset, the longest path into the block weighted by block heights, plus
+its level inside the block.
+
 On top of it sits ``build_realization``: given a finite group with
 generators, it lays one degree-0 block per group element and, per colored
 Cayley edge, one edge block plus two flanking second-story blocks whose
@@ -16,40 +30,78 @@ reproduces the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .blocks import asymmetric_block
 from .groups import FiniteGroup
 from .poset import Poset, make_poset  # noqa: F401 (the benchmark wraps assembly.make_poset)
 
 
-def _at_level(p: Poset, level: int) -> list[int]:
-    return [i for i, lvl in enumerate(p._levels) if lvl == level]
+def _shape(block: Poset) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """A block's first-level indices, last-level indices and height."""
+    levels = block._levels
+    height = max(levels)
+    firsts = tuple(i for i, lvl in enumerate(levels) if lvl == 1)
+    return firsts, tuple(i for i, lvl in enumerate(levels) if lvl == height), height
 
 
 def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Poset:
     """Disjoint union of the non-empty blocks, points prefixed "<block>/"
     and listed block by block in dict order, plus the complete bipartite
-    covers demanded by each (lower, upper) connection.  A block's last
-    level lies above one of its first-level points, so a cycle of
-    connections is a cycle of covers, which ``Poset`` refuses."""
+    covers demanded by each (lower, upper) connection.
+
+    Rows come out sorted: a last-level point has no upper cover inside its
+    block, and its covers in the upper blocks are taken in block order.
+    The output is certified as the module docstring says: if the quotient
+    ``Poset`` on the block names and the connections is valid and the
+    point names are distinct, the points' levels are the block offsets
+    plus the levels inside the blocks, and nothing is checked point by
+    point.  Otherwise (a block connected to itself, a cycle, a
+    connection implied through other blocks, a duplicate name, or a block
+    name that is not a str) ``Poset`` checks the same rows and names the
+    fault."""
     for lo, hi in connections:
         if lo not in blocks or hi not in blocks:
             raise ValueError(f"connection ({lo!r}, {hi!r}) names an unknown block")
+    order = {bname: i for i, bname in enumerate(blocks)}
+    above: list[list[int]] = [[] for _ in blocks]
+    for lo, hi in connections:
+        above[order[lo]].append(order[hi])
+    quotient_up = tuple(tuple(sorted(ks)) for ks in above)
     points: list[str] = []
-    up: list[list[int]] = []
-    start: dict[str, int] = {}
+    shapes: dict[int, tuple] = {}  # by id: blocks are often one shared object
+    starts, shape_of = [], []
     for bname, block in blocks.items():
         if not block.points:
             raise ValueError(f"empty block {bname!r}")
-        base = start[bname] = len(points)
-        points.extend(f"{bname}/{p}" for p in block.points)
-        up.extend([base + j for j in ys] for ys in block.up)
-    for lo, hi in connections:
-        bottoms = [start[hi] + j for j in _at_level(blocks[hi], 1)]
-        lower = blocks[lo]
-        for i in _at_level(lower, max(lower._levels)):
-            up[start[lo] + i].extend(bottoms)
-    return Poset(tuple(points), tuple(tuple(sorted(ys)) for ys in up))
+        starts.append(len(points))
+        points.extend(map(f"{bname}/".__add__, block.points))
+        if id(block) not in shapes:
+            shapes[id(block)] = _shape(block)
+        shape_of.append(shapes[id(block)])
+    bottoms = [tuple(map(base.__add__, shape[0])) for base, shape in zip(starts, shape_of)]
+    up: list[tuple[int, ...]] = []
+    for base, block, (_, lasts, _), ks in zip(starts, blocks.values(), shape_of, quotient_up):
+        rows = [tuple(map(base.__add__, ys)) for ys in block.up]
+        cross = tuple(chain.from_iterable(map(bottoms.__getitem__, ks)))
+        for j in lasts:
+            rows[j] = cross
+        up.extend(rows)
+    try:
+        quotient = Poset(tuple(blocks), quotient_up)
+    except ValueError:
+        quotient = None
+    if quotient is None or len(set(points)) != len(points):
+        return Poset(tuple(points), tuple(up))
+    offsets = [0] * len(quotient_up)
+    for i in sorted(range(len(offsets)), key=quotient._levels.__getitem__):
+        top = offsets[i] + shape_of[i][2]
+        for k in quotient_up[i]:
+            offsets[k] = max(offsets[k], top)
+    levels = chain.from_iterable(
+        map(offset.__add__, block._levels) for offset, block in zip(offsets, blocks.values())
+    )
+    return Poset._from_checked(tuple(points), tuple(up), tuple(levels))
 
 
 @dataclass(frozen=True)

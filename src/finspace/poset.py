@@ -6,9 +6,12 @@ per point, the indices of its upper covers.  Names are labels, for I/O and
 for ``make_poset``, which takes covers by name.  The one order structure
 kept is each point's level, from one topological walk; the covering check
 and point deletion walk upward from a few points, no higher than a level
-bound.  All values are immutable; every operation below is a pure
-function, so posets can be shared freely across threads.  Poset
-isomorphism is a digraph search and lives with the search, in ``engine``.
+bound, and on a graded poset the check walks nowhere.  ``Poset(...)``
+validates every input; ``assembly.assemble``, which certifies its output
+on the block quotient, enters through the private ``Poset._from_checked``.
+All values are immutable; every operation below is a pure function, so
+posets can be shared freely across threads.  Poset isomorphism is a
+digraph search and lives with the search, in ``engine``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 from .digraph import _check_rows, _json_str, _json_text, _quote, _ranked, _transpose
 
@@ -48,8 +52,14 @@ class Poset:
         # _levels raises on cycles.  A longer chain from i to its upper cover
         # j leaves i through another upper cover k, and level(k) < level(j).
         # So only the upper covers below i's highest one start a walk, which
-        # stops at that level; on a graded poset no walk starts.
+        # stops at that level.  Each cover climbs at least one level, so when
+        # the climbs add up to exactly one per cover the poset is graded and
+        # no row needs a look.
         levels = self._levels
+        degrees = list(map(len, self.up))
+        tops = sum(map(levels.__getitem__, chain.from_iterable(self.up)))
+        if tops - sum(map(mul, levels, degrees)) == sum(degrees):
+            return
         for i, ys in enumerate(self.up):
             top = max(map(levels.__getitem__, ys), default=0)
             if top > levels[i] + 1:
@@ -61,6 +71,20 @@ class Poset:
                             f"({x!r}, {y!r}) is not a covering pair: "
                             "a longer chain joins them"
                         )
+
+    @classmethod
+    def _from_checked(cls, points, up, levels) -> Poset:
+        """A poset from parts already known to pass every check above, which
+        this constructor does not repeat: ``points`` is a tuple of distinct
+        str, ``up`` has passed ``_check_rows`` and is exactly the covering
+        relation of an order, and ``levels`` is the tuple ``_levels`` would
+        compute from it.  Only ``assembly.assemble`` calls it, after its
+        block-quotient certificate."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "points", points)
+        object.__setattr__(p, "up", up)
+        p.__dict__["_levels"] = levels
+        return p
 
     # -- cached structure ------------------------------------------------
 

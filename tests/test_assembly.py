@@ -1,9 +1,14 @@
 import importlib
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import closure_from_pairs, covers_from_closure, random_poset
 from finspace import (
+    Poset,
     RealizationSpace,
     asymmetric_block,
     assemble,
@@ -20,7 +25,9 @@ from finspace import (
     verify_realization,
 )
 
+assembly = importlib.import_module("finspace.assembly")
 engine = importlib.import_module("finspace.engine")
+poset_module = importlib.import_module("finspace.poset")
 
 
 # -- assemble -----------------------------------------------------------------
@@ -76,6 +83,134 @@ def test_assemble_connects_levels_not_maximal_points():
     out = assemble({"lo": lower, "hi": upper}, {("lo", "hi")})
     crossings = {(x, y) for x, y in out.covers if y.startswith("hi/") and x.startswith("lo/")}
     assert crossings == {("lo/c", "hi/x"), ("lo/c", "hi/z")}
+
+
+def _reference_assemble(blocks, connections):
+    """The point-level builder: every connection's covers appended to the
+    rows, each row sorted, and the whole relation checked by ``Poset``."""
+    for lo, hi in connections:
+        if lo not in blocks or hi not in blocks:
+            raise ValueError(f"connection ({lo!r}, {hi!r}) names an unknown block")
+    points, up, start = [], [], {}
+    for bname, block in blocks.items():
+        if not block.points:
+            raise ValueError(f"empty block {bname!r}")
+        base = start[bname] = len(points)
+        points.extend(f"{bname}/{p}" for p in block.points)
+        up.extend([base + j for j in ys] for ys in block.up)
+
+    def at_level(p, level):
+        return [i for i, lvl in enumerate(p._levels) if lvl == level]
+
+    for lo, hi in connections:
+        bottoms = [start[hi] + j for j in at_level(blocks[hi], 1)]
+        lower = blocks[lo]
+        for i in at_level(lower, max(lower._levels)):
+            up[start[lo] + i].extend(bottoms)
+    return Poset(tuple(points), tuple(tuple(sorted(ys)) for ys in up))
+
+
+def _outcome(build, blocks, connections):
+    try:
+        p = build(blocks, connections)
+    except ValueError as exc:
+        return str(exc)
+    return p.points, p.up, p._levels
+
+
+# Names with "/" make point names collide: block "a" point "q/p0" and
+# block "a/q" point "p0" are both "a/q/p0"; so do block 7's and block "7"'s.
+BLOCK_NAMES = ["a", "a/q", "b", "c", "d", "e", 7, "7"]
+FLAT_POINTS = ["p0", "p1", "q/p0", "x"]
+
+
+@st.composite
+def _assemblies(draw):
+    """Blocks (random posets of mixed heights and one-level blocks, some
+    objects shared) and connections: covers or any pairs of a random
+    order of the blocks, plus perhaps one arbitrary pair, which may run
+    backward, join a block to itself or be implied through a third."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            pool.append(random_poset(random.Random(draw(st.integers(0, 2**32))), 6))
+        else:
+            flat = draw(st.lists(st.sampled_from(FLAT_POINTS), unique=True, min_size=1))
+            pool.append(make_poset(flat, []))
+    names = draw(st.lists(st.sampled_from(BLOCK_NAMES), unique=True, min_size=1, max_size=6))
+    blocks = {name: draw(st.sampled_from(pool)) for name in names}
+    m = len(names)
+    rank = draw(st.permutations(range(m)))
+    forward = [(rank[i], rank[j]) for i in range(m) for j in range(i + 1, m)]
+    pairs = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    if draw(st.booleans()):
+        pairs = covers_from_closure(closure_from_pairs(m, pairs))
+    pairs |= draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=1))
+    return blocks, {(names[i], names[j]) for i, j in pairs}
+
+
+@given(_assemblies())
+def test_assemble_matches_the_point_level_builder(case):
+    """Same points, rows and levels, or the same error, as the builder that
+    checks every assembled cover."""
+    blocks, connections = case
+    assert _outcome(assemble, blocks, connections) == _outcome(
+        _reference_assemble, blocks, connections
+    )
+
+
+def test_assembled_levels_add_block_heights():
+    """A block's offset is the longest path into it weighted by block
+    heights, not its quotient level times one height."""
+    point, chain3 = make_poset(["p"], []), make_poset("xyz", [("x", "y"), ("y", "z")])
+    blocks = {"top": point, "tall": chain3, "flat": point, "side": point}
+    connections = {("flat", "tall"), ("tall", "top"), ("side", "top")}
+    out = assemble(blocks, connections)
+    assert out.points == ("top/p", "tall/x", "tall/y", "tall/z", "flat/p", "side/p")
+    assert out.up == ((), (2,), (3,), (0,), (1,), (0,))
+    assert out._levels == (5, 2, 3, 4, 1, 1)
+    assert _outcome(assemble, blocks, connections) == _outcome(
+        _reference_assemble, blocks, connections
+    )
+
+
+def _count_row_checks(monkeypatch) -> list[int]:
+    """The number of rows of each ``_check_rows`` call a ``Poset`` makes."""
+    sizes = []
+    check = poset_module._check_rows
+    monkeypatch.setattr(
+        poset_module,
+        "_check_rows",
+        lambda names, rows, *args: sizes.append(len(rows)) or check(names, rows, *args),
+    )
+    return sizes
+
+
+def test_realization_checks_the_quotient_not_the_points(monkeypatch):
+    """cyclic:12 has 48 blocks and 528 points: one row check, on the
+    quotient, and a ``Poset`` equal to the fully checked one."""
+    family = {k: asymmetric_block(k) for k in range(4)}
+    monkeypatch.setattr(assembly, "asymmetric_block", family.__getitem__)
+    sizes = _count_row_checks(monkeypatch)
+    p = build_realization(cyclic(12)).poset
+    assert sizes == [48]
+    checked = Poset(p.points, p.up)
+    assert sizes == [48, 528]
+    assert checked == p and checked._levels == p._levels
+
+
+def test_block_names_need_not_be_str(monkeypatch):
+    """The quotient of non-str names is no ``Poset``, so the points are
+    checked in full, as before."""
+    block = asymmetric_block(0)
+    blocks, connections = {1: block, (2, 3): block}, {(1, (2, 3))}
+    sizes = _count_row_checks(monkeypatch)
+    out = assemble(blocks, connections)
+    assert sizes == [16]
+    assert out.points[0] == "1/a/bot" and out.points[8] == "(2, 3)/a/bot"
+    assert _outcome(assemble, blocks, connections) == _outcome(
+        _reference_assemble, blocks, connections
+    )
 
 
 # -- realization space --------------------------------------------------------
