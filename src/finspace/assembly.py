@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .blocks import asymmetric_block
-from .groups import FiniteGroup
+from .groups import FiniteGroup, right_translation
 from .poset import Poset, make_poset  # noqa: F401 (the benchmark wraps assembly.make_poset)
 
 
@@ -180,9 +180,8 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
     for g in range(group.order):
         blocks[vert_name(g)] = family[0]
         info.append(BlockInfo("vertex", 0, vert_name(g), group.elements[g], None, None))
-    for k, gen in enumerate(group.generators, start=1):
-        for g in range(group.order):
-            target = group.table[gen][g]
+    for k, row in enumerate(group.rows, start=1):
+        for g, target in enumerate(row):
             e_name, s_name, d_name = _block_names(group, k, g)
             blocks[e_name] = family[k]
             blocks[s_name] = family[n + k]
@@ -210,16 +209,15 @@ def induced_translation(space: RealizationSpace, h: int) -> tuple[int, ...]:
     Each point of the block of slot (kind, colour) and element g goes to
     the point of the same local name in the block of that slot and g*h:
     the vertex block of g to that of g*h, the blocks of edge (g, g_k*g) to
-    those of (g*h, g_k*g*h).  Blocks, slots and elements are read from
-    ``provenance``.  Returned in index form: entry i is the index in
-    ``space.poset.points`` of the image of point i.  Raises ``ValueError``
-    when two blocks claim one slot and element, or an image point is
-    missing.  Whether the map is an automorphism is the caller's check.
+    those of (g*h, g_k*g*h).  g*h is read from ``right_translation``, and
+    blocks, slots and elements from ``provenance``.  Returned in index
+    form: entry i is the index in ``space.poset.points`` of the image of
+    point i.  Raises ``ValueError`` for an h out of range, when two blocks
+    claim one slot and element, or when an image point is missing.
+    Whether the map is an automorphism is the caller's check.
     """
-    group = space.group
-    if not (0 <= h < group.order):
-        raise ValueError(f"no element with index {h}")
-    times_h = {x: group.elements[group.table[g][h]] for g, x in enumerate(group.elements)}
+    names = space.group.elements
+    times_h = dict(zip(names, map(names.__getitem__, right_translation(space.group, h))))
     block_of: dict[tuple, str] = {}
     for info in space.provenance.values():
         key = (info.kind, info.color, info.element)

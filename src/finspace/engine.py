@@ -608,7 +608,11 @@ def verify_realization(
     block of each g into that of g*s; (3) the search engine counts exactly
     |G| automorphisms of that same digraph.  By (2), H = <t_s> <= Aut(X)
     acts on the vertex blocks as <rho_s> = rho(G), the right regular
-    representation, of order |G| as the generators generate G.  So
+    representation, of order |G| as the generators generate G.  That the
+    rho_s, read from the generators' columns, are the right multiplications
+    of a group of order |G| holds by construction for a group enumerated
+    from permutations or written in closed form, and by Light's test for a
+    group given as a table (``groups`` module docstring).  So
     |H| >= |G| = |Aut(X)| by (3): H = Aut(X), and its action on the vertex
     blocks is an isomorphism onto rho(G), a copy of G.  Nothing assumes
     that h -> t_h is a homomorphism.  The engine is given the t_s that pass
@@ -645,12 +649,12 @@ def _check_generators(space: RealizationSpace, out) -> list[VertexPerm]:
     if {g for _, g in blocks} != set(range(group.order)):
         return []
     valid = []
-    for s in group.generators:
+    for s, times_s in zip(group.generators, group.cols):
         image = induced_translation(space, s)
         if (
             sorted(image) == list(range(len(vertex)))
             and _carries(image, out, out)
-            and all(vertex[image[x]] == group.table[g][s] for x, g in blocks)
+            and all(vertex[image[x]] == times_s[g] for x, g in blocks)
         ):
             valid.append(image)
     return valid

@@ -1,23 +1,38 @@
-"""Finite groups as multiplication tables, plus colored Cayley graphs.
+"""Finite groups kept as their generators' rows and columns; Cayley graphs.
 
-A group is an ordered element list, a multiplication table over element
-indices, and a distinguished generator list.  The Cayley graph uses left
-multiplication: for each element g and each generator g_k there is one
-directed edge (g, g_k * g) carrying color k, so right translations
-g -> g * h act as color-preserving graph automorphisms.  Groups given
-by permutations, the symmetric groups among them, are enumerated by one
-breadth-first closure that also derives their table.
+A group is an ordered element list, an identity, a distinguished generator
+list and, per generator g_k, its left row (x -> g_k * x) and its right
+column (x -> x * g_k), as tuples of element indices.  No |G| x |G| table
+is kept: that is all the realization reads.  The Cayley graph uses left
+multiplication, one directed edge (x, g_k * x) of color k per element x
+and generator g_k, so right translations x -> x * h act as
+color-preserving graph automorphisms; ``right_translation`` gives the one
+by any h, walking a word for h in the generators over their columns.
 
-A table is certified on a generating set alone: each generator's row must
-permute the element indices, its column must hold element indices, and
-Light's associativity test must pass for it.  That work is |S|*n for the
-latin checks plus |S|*n^2 for Light's test, and it implies latin rows and
-columns and full associativity (proof in ``FiniteGroup._passes_light_test``).
+The constructors differ in why the rows and columns are a group's:
+
+- ``group_from_permutations`` and ``symmetric`` enumerate a closure of
+  permutations breadth-first.  Composition is associative and the closure
+  is exact, so the result is a group by construction.  The pass composes
+  x * g_k for every x, which gives the columns; the rows g_k * x cost
+  |S|*n more compositions.
+- ``cyclic``, ``dihedral`` and ``direct_product`` write them in closed
+  form, a product from its factors' rows and columns.
+- ``FiniteGroup(elements, table, identity, generators)`` takes a full table
+  and certifies it on a generating set alone: each generator's row must
+  permute the element indices, its column must hold element indices, and
+  Light's associativity test must pass for it.  That work is |S|*n for the
+  latin checks plus |S|*n^2 for Light's test, and it implies latin rows and
+  columns and full associativity (proof in
+  ``FiniteGroup._passes_light_test``).  Then the table is dropped.
+
+The first two enter through the private ``FiniteGroup._from_checked``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -67,37 +82,42 @@ def cycle_name(p: Perm, names=None) -> str:
 class FiniteGroup:
     """A finite group with a chosen generating set.
 
-    Invariants checked at construction: the table is a group operation
+    ``rows[k][x]`` is the index of g_k * x and ``cols[k][x]`` that of
+    x * g_k, for g_k = ``generators[k]``.  ``FiniteGroup(elements, table,
+    identity, generators)`` checks that the table is a group operation
     (identity law, latin rows and columns, associativity), the generators
-    are distinct non-identity elements, and they generate the whole group.
-    All but the identity law are certified by ``_passes_light_test`` on a
-    generating set alone, exactly at every order; only a failing table
-    pays for the full row and column checks that name its fault.
+    are distinct non-identity elements, and they generate the whole group;
+    then it keeps only the generators' rows and columns.  All but the
+    identity law are certified by ``_passes_light_test`` on a generating
+    set alone, exactly at every order; only a failing table pays for the
+    full row and column checks that name its fault.
     """
 
     elements: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    table: InitVar[tuple[tuple[int, ...], ...]]
     identity: int
     generators: tuple[int, ...]
+    rows: tuple[Perm, ...] = field(init=False)
+    cols: tuple[Perm, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, table) -> None:
         n = len(self.elements)
         if n == 0:
             raise ValueError("a group needs at least one element")
         if len(set(self.elements)) != n:
             raise ValueError("duplicate element names")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table must be |G| x |G|")
         e = self.identity
         if not (0 <= e < n):
             raise ValueError("identity index out of range")
-        if any(self.table[e][j] != j or self.table[j][e] != j for j in range(n)):
+        if any(table[e][j] != j or table[j][e] != j for j in range(n)):
             raise ValueError("identity law fails")
-        if not self._passes_light_test():
+        if not self._passes_light_test(table):
             every = set(range(n))
-            if any(set(row) != every for row in self.table):
+            if any(set(row) != every for row in table):
                 raise ValueError("rows must be permutations of the element indices")
-            if any(len(set(col)) != n for col in zip(*self.table)):
+            if any(len(set(col)) != n for col in zip(*table)):
                 raise ValueError("columns must be permutations (missing inverses)")
             raise ValueError("multiplication table is not associative")
         if not self.generators:
@@ -108,11 +128,30 @@ class FiniteGroup:
             raise ValueError("the identity is not allowed as a generator")
         if any(not (0 <= g < n) for g in self.generators):
             raise ValueError("generator index out of range")
-        if len(self._closure(self.generators)) != n:
+        if len(_closure(table, e, self.generators)) != n:
             raise ValueError("generators do not generate the group")
+        rows = tuple(tuple(table[g]) for g in self.generators)
+        cols = tuple(tuple(map(itemgetter(g), table)) for g in self.generators)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
-    def _passes_light_test(self) -> bool:
-        """True iff the table (identity law already checked) is a group.
+    @classmethod
+    def _from_checked(cls, elements, identity, generators, rows, cols) -> FiniteGroup:
+        """A group from parts known to be right, which this constructor does
+        not check: ``rows`` and ``cols`` were computed from permutations or
+        in closed form as the generators' left rows and right columns in a
+        group on ``elements``, and the generators are distinct non-identity
+        elements that generate it.  Only the constructors below call it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "elements", elements)
+        object.__setattr__(g, "identity", identity)
+        object.__setattr__(g, "generators", generators)
+        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "cols", cols)
+        return g
+
+    def _passes_light_test(self, t) -> bool:
+        """True iff the table t (identity law already checked) is a group.
 
         The seed S is the given generators that are in range and not e,
         extended by the smallest unreached element until ``_closure``
@@ -135,7 +174,6 @@ class FiniteGroup:
         its columns are latin too.  Conversely a group passes every check.
         """
         n = len(self.elements)
-        t = self.table
         every = set(range(n))
 
         def valid(s: int) -> bool:
@@ -144,13 +182,13 @@ class FiniteGroup:
         seed = tuple(g for g in self.generators if 0 <= g < n and g != self.identity)
         if not all(map(valid, seed)):
             return False
-        reached = self._closure(seed)
+        reached = _closure(t, self.identity, seed)
         while len(reached) < n:
             s = min(every - reached)
             if not valid(s):
                 return False
             seed += (s,)
-            reached = self._closure(seed)
+            reached = _closure(t, self.identity, seed)
         for s in seed:
             # row x -> (x*(s*y) for y); s is not e, so n >= 2 and rows are tuples
             times_s = itemgetter(*t[s])
@@ -159,39 +197,42 @@ class FiniteGroup:
                     return False
         return True
 
-    def _closure(self, seed: tuple[int, ...]) -> set[int]:
-        reached = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in seed:
-                y = self.table[g][x]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        return reached
-
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.table[i].index(self.identity)
-
-    def element_order(self, i: int) -> int:
-        n = 1
-        x = i
-        while x != self.identity:
-            x = self.table[x][i]
-            n += 1
-        return n
+    @cached_property
+    def _tree(self) -> list:
+        """Per element y other than the identity, (x, k) with y = x * g_k
+        and x found before y: a breadth-first tree over the columns."""
+        tree: list = [None] * self.order
+        reached = [self.identity]
+        for x in reached:  # reached grows while read: a FIFO queue
+            for k, col in enumerate(self.cols):
+                y = col[x]
+                if tree[y] is None and y != self.identity:
+                    tree[y] = (x, k)
+                    reached.append(y)
+        return tree
 
     def __repr__(self) -> str:
         gens = ", ".join(self.elements[g] for g in self.generators)
         return f"FiniteGroup(order={self.order}, generators=[{gens}])"
+
+
+def _closure(table, identity: int, seed) -> set[int]:
+    """The elements reached from the identity by left multiplication by
+    ``seed``, read off the table's rows."""
+    reached = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in seed:
+            y = table[g][x]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
 
 
 def _check_order(order: int) -> None:
@@ -199,14 +240,15 @@ def _check_order(order: int) -> None:
         raise ValueError(f"group too large: order exceeds the cap of {DEFAULT_ORDER_CAP}")
 
 
-def _enumerate(gens: list[Perm]) -> tuple[list[Perm], list[str], tuple]:
-    """Permutations, word names and multiplication table of the group
-    generated by ``gens``, in breadth-first order from the identity.
+def _enumerate(gens: list[Perm]) -> tuple[list[Perm], list[str], tuple, tuple]:
+    """Permutations, word names, and the generators' rows and columns of
+    the group generated by ``gens``, in breadth-first order from the
+    identity.
 
     Closure runs over right multiplication, so element k is the generator
-    g_k for k >= 1.  Each element y = x*g_k is found from an earlier x, so
-    its row is a permutation of x's row, y*z = x*(g_k*z): the table costs
-    |G|*|gens| compositions, not |G|^2.
+    g_k for k >= 1, and the pass finds x*g_k for every x and k: those are
+    the generators' columns.  Their rows, g_k*x, cost |G|*|gens| more
+    compositions.
     """
     if not gens:
         raise ValueError("at least one permutation generator is required")
@@ -223,23 +265,18 @@ def _enumerate(gens: list[Perm]) -> tuple[list[Perm], list[str], tuple]:
     index: dict[Perm, int] = {ident: 0}
     perms: list[Perm] = [ident]
     names: list[str] = ["e"]
-    tree: list[tuple[int, int]] = []  # (index of x, k) per y = x*gens[k] after e
+    cols: list[list[int]] = [[] for _ in gens]
     for i, x in enumerate(perms):  # perms grows while read: a FIFO queue
         for k, g in enumerate(gens):
             y = _compose(x, g)
-            if y not in index:
-                _check_order(len(perms) + 1)
-                index[y] = len(perms)
+            j = index.setdefault(y, len(perms))
+            if j == len(perms):
+                _check_order(j + 1)
                 perms.append(y)
                 names.append(f"g{k + 1}" if i == 0 else f"{names[i]}*g{k + 1}")
-                tree.append((i, k))
-    # left[k](row of x) is the row of x*gens[k]: (x*gens[k])*z = x*(gens[k]*z);
-    # the identity is no generator, so |G| >= 2 and each getter gives a tuple
-    left = [itemgetter(*[index[_compose(g, p)] for p in perms]) for g in gens]
-    rows = [tuple(range(len(perms)))]
-    for parent, k in tree:
-        rows.append(left[k](rows[parent]))
-    return perms, names, tuple(rows)
+            cols[k].append(j)
+    rows = tuple(tuple(index[_compose(g, p)] for p in perms) for g in gens)
+    return perms, names, rows, tuple(map(tuple, cols))
 
 
 def group_from_permutations(perm_generators) -> FiniteGroup:
@@ -250,12 +287,9 @@ def group_from_permutations(perm_generators) -> FiniteGroup:
     shortest ("e", "g1", "g1*g2", ...).
     """
     gens = [tuple(p) for p in perm_generators]
-    _, names, table = _enumerate(gens)
-    return FiniteGroup(
-        elements=tuple(names),
-        table=table,
-        identity=0,
-        generators=tuple(range(1, len(gens) + 1)),
+    _, names, rows, cols = _enumerate(gens)
+    return FiniteGroup._from_checked(
+        tuple(names), 0, tuple(range(1, len(gens) + 1)), rows, cols
     )
 
 
@@ -265,9 +299,8 @@ def cyclic(m: int) -> FiniteGroup:
         raise ValueError("cyclic group needs order >= 2 (no identity generators)")
     _check_order(m)
     names = ["e", "x"] + [f"x{i}" for i in range(2, m)]
-    r = tuple(range(m))
-    table = tuple(r[i:] + r[:i] for i in range(m))
-    return FiniteGroup(tuple(names), table, identity=0, generators=(1,))
+    shift = tuple(range(1, m)) + (0,)
+    return FiniteGroup._from_checked(tuple(names), 0, (1,), (shift,), (shift,))
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -288,18 +321,16 @@ def dihedral(order: int) -> FiniteGroup:
         s = "s" if j == 1 else ""
         return f"{t}*{s}" if t and s else t + s
 
-    # t^i * s^j is element i + m*j.  As t^a * t^c = t^(a+c) and
-    # (t^a * s) * t^c = t^(a-c) * s, row t^a turns both halves of
-    # 0..2m-1 left by a, and row t^a * s runs both halves backwards from
-    # a, the reflections first.
+    # t^i * s^j is element i + m*j, and (t^a * s^b) * (t^c * s^d) is
+    # t^(a + c) * s^(b+d) for b = 0 and t^(a - c) * s^(b+d) for b = 1.  So
+    # t * t^c * s^d is t^(c+1) * s^d and s * t^c * s^d is t^(-c) * s^(1-d);
+    # t^a * s^b * t is t^(a+1) or, for b = 1, t^(a-1) * s; and t^a * s^b * s
+    # is t^a * s^(1-b).
     r, s = tuple(range(m)), tuple(range(m, order))
-    rr, sr = r[::-1], s[::-1]
-    rotations = [r[a:] + r[:a] + s[a:] + s[:a] for a in range(m)]
-    reflections = [sr[k:] + sr[:k] + rr[k:] + rr[:k] for k in reversed(range(m))]
-    names = [name(i, j) for j in (0, 1) for i in range(m)]
-    return FiniteGroup(
-        tuple(names), tuple(rotations + reflections), identity=0, generators=(1, m)
-    )
+    rows = (r[1:] + r[:1] + s[1:] + s[:1], s[:1] + s[:0:-1] + r[:1] + r[:0:-1])
+    cols = (r[1:] + r[:1] + s[-1:] + s[:-1], s + r)
+    names = tuple(name(i, j) for j in (0, 1) for i in range(m))
+    return FiniteGroup._from_checked(names, 0, (1, m), rows, cols)
 
 
 def symmetric(m: int) -> FiniteGroup:
@@ -315,12 +346,9 @@ def symmetric(m: int) -> FiniteGroup:
     gens: list[Perm] = [swap]
     if m >= 3:
         gens.append(tuple(list(range(1, m)) + [0]))
-    perms, _, table = _enumerate(gens)
-    return FiniteGroup(
-        elements=tuple(cycle_name(p) for p in perms),
-        table=table,
-        identity=0,
-        generators=tuple(range(1, len(gens) + 1)),
+    perms, _, rows, cols = _enumerate(gens)
+    return FiniteGroup._from_checked(
+        tuple(map(cycle_name, perms)), 0, tuple(range(1, len(gens) + 1)), rows, cols
     )
 
 
@@ -328,27 +356,24 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; generators embed each factor's generators."""
     _check_order(g.order * h.order)
     nh = h.order
+    names = tuple(f"({a},{b})" for a in g.elements for b in h.elements)
+    # (a, b) is element a*nh + b.  A generator of g moves a alone, one of h
+    # moves b alone, each by its row or its column in its factor.
+    blocks = [range(a * nh, a * nh + nh) for a in range(g.order)]
 
-    def idx(i: int, j: int) -> int:
-        return i * nh + j
+    def on_g(perm: Perm) -> Perm:
+        return tuple(chain.from_iterable(map(blocks.__getitem__, perm)))
 
-    names = tuple(
-        f"({a},{b})" for a in g.elements for b in h.elements
-    )
-    # Row (a, b) is, for c in g's order, row b of h plus nh * (a*c in g).
-    table: list = [None] * (g.order * nh)
-    for b, row_h in enumerate(h.table):
-        shifted = [tuple(map((nh * x).__add__, row_h)) for x in range(g.order)]
-        for a, row_g in enumerate(g.table):
-            table[idx(a, b)] = tuple(chain.from_iterable(map(shifted.__getitem__, row_g)))
-    gens = tuple(idx(k, h.identity) for k in g.generators) + tuple(
-        idx(g.identity, k) for k in h.generators
-    )
-    return FiniteGroup(
-        elements=names,
-        table=tuple(table),
-        identity=idx(g.identity, h.identity),
-        generators=gens,
+    def on_h(perm: Perm) -> Perm:
+        return tuple(base + y for base in range(0, g.order * nh, nh) for y in perm)
+
+    return FiniteGroup._from_checked(
+        names,
+        g.identity * nh + h.identity,
+        tuple(k * nh + h.identity for k in g.generators)
+        + tuple(g.identity * nh + k for k in h.generators),
+        tuple(map(on_g, g.rows)) + tuple(map(on_h, h.rows)),
+        tuple(map(on_g, g.cols)) + tuple(map(on_h, h.cols)),
     )
 
 
@@ -362,12 +387,24 @@ def cayley_graph(g: FiniteGroup) -> ColoredDigraph:
     One edge (x, g_k * x) of color k per element x and generator g_k; a
     generator of order 2 yields antiparallel edge pairs of its color.
     """
-    layers = ((k, tuple((y,) for y in g.table[gen])) for k, gen in enumerate(g.generators, 1))
+    layers = ((k, tuple((y,) for y in row)) for k, row in enumerate(g.rows, 1))
     return ColoredDigraph(g.elements, tuple(layers))
 
 
 def right_translation(g: FiniteGroup, h: int) -> Perm:
-    """The vertex permutation x -> x * h of cayley_graph(g), as an index map."""
+    """The vertex permutation x -> x * h of cayley_graph(g), as an index map.
+
+    Walks a word g_k1 * ... * g_kr for h, read off the breadth-first tree
+    ``g._tree``, and composes the generators' columns in word order:
+    x * h = ((x * g_k1) * ...) * g_kr.
+    """
     if not (0 <= h < g.order):
         raise ValueError(f"no element with index {h}")
-    return tuple(g.table[x][h] for x in range(g.order))
+    word = []
+    while h != g.identity:
+        h, k = g._tree[h]
+        word.append(k)
+    col = tuple(range(g.order))
+    for k in reversed(word):
+        col = tuple(map(g.cols[k].__getitem__, col))
+    return col

@@ -17,10 +17,9 @@ digraph search and lives with the search, in ``engine``.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 
 from .digraph import _check_rows, _json_str, _json_text, _quote, _ranked, _transpose
@@ -266,18 +265,24 @@ def poset_from_json_dict(data: dict) -> Poset:
     return make_poset(points, ((c[0], c[1]) for c in covers))
 
 
-def _sorted_covers(p: Poset) -> Iterator[tuple[int, int]]:
-    """The covers as index pairs, in the order of ``sorted(p.covers)``."""
+def _sorted_covers(p: Poset) -> tuple[list[int], list[list[int]]]:
+    """The covers in the order of ``sorted(p.covers)``, row by row: the
+    point indices in name order, and per point, in that order, the indices
+    of its upper covers in name order.  No pair is built per cover."""
     rank, order = _ranked(p.points)
     by_rank = rank.__getitem__
-    return ((i, j) for i in order for j in sorted(p.up[i], key=by_rank))
+    return order, [sorted(row, key=by_rank) for row in map(p.up.__getitem__, order)]
 
 
 def poset_to_json(p: Poset) -> str:
     """``json.dumps(poset_to_json_dict(p), indent=2)``, written from the
     upper covers."""
     names = list(map(_json_str, p.points))
-    cells = list(map(names.__getitem__, chain.from_iterable(_sorted_covers(p))))
+    order, rows = _sorted_covers(p)
+    cells = [""] * (2 * sum(map(len, rows)))
+    cells[0::2] = chain.from_iterable(map(repeat, map(names.__getitem__, order), map(len, rows)))
+    cells[1::2] = map(names.__getitem__, chain.from_iterable(rows))
+    del order, rows  # freed before the text is joined, at the peak
     return _json_text("points", names, "covers", cells, 2)
 
 
@@ -299,6 +304,8 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
     for lvl in sorted(by_level):
         row = " ".join(f"{x};" for x in by_level[lvl])
         lines.append(f"  {{ rank=same; {row} }}")
-    lines.extend(f"  {quoted[i]} -> {quoted[j]};" for i, j in _sorted_covers(p))
+    order, rows = _sorted_covers(p)
+    lines.extend(f"  {quoted[i]} -> {quoted[j]};" for i, row in zip(order, rows) for j in row)
+    del order, rows  # freed before the text is joined, at the peak
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,9 @@ and ``reference_digraph_dot`` are the DOT writers that sort name tuples,
 kept as the reference for the index-order writers.  ``reference_group_check``
 is the full-table group validator (every row, every column, then Light's
 test), kept as the reference for the generating-set certificate of
-``FiniteGroup``.
+``FiniteGroup``.  ``full_table`` and ``element_order`` read a group's
+whole table, or an element's order, off its right translations, for the
+tests that want them: groups keep only their generators' rows and columns.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from finspace import (
     level_of,
     make_digraph,
     make_poset,
+    right_translation,
 )
 
 settings.register_profile(
@@ -242,9 +245,26 @@ def check_all_translations(space) -> None:
         assert sorted(t) == list(range(len(x.points)))
         assert all((t[a], t[b]) in covers for a, b in covers)
     assert len(set(maps)) == group.order
+    table = full_table(group)
     for g, t_g in enumerate(maps):
         for h, t_h in enumerate(maps):
-            assert maps[group.table[g][h]] == tuple(t_h[i] for i in t_g)
+            assert maps[table[g][h]] == tuple(t_h[i] for i in t_g)
+
+
+def full_table(group) -> tuple[tuple[int, ...], ...]:
+    """The |G| x |G| table of a group: entry [x][h] is the index of x*h,
+    and column h is ``right_translation(group, h)``.  Small groups only."""
+    return tuple(zip(*(right_translation(group, h) for h in range(group.order))))
+
+
+def element_order(group, i: int) -> int:
+    """The least n >= 1 with i^n = e, walking x -> x*i from i."""
+    times_i = right_translation(group, i)
+    n, x = 1, i
+    while x != group.identity:
+        x = times_i[x]
+        n += 1
+    return n
 
 
 def reference_group_check(elements, table, identity, generators) -> None:

@@ -4,12 +4,18 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the one-line
 pass/fail report per criterion.
 """
 
+import contextlib
+import hashlib
+import io
 import random
 import time
+
+import pytest
 
 from conftest import check_all_translations, random_colored_digraph, random_poset
 from test_blocks import FOURTEEN_POINT_FIXTURE
 
+import finspace.cli as cli
 from finspace import (
     asymmetric_block,
     automorphisms,
@@ -178,3 +184,35 @@ def test_criterion_8_property_suites():
         for x, y in space.covers:
             assert level_of(space, y) >= level_of(space, x) + 1
     _finish("criterion 8: property suites", 60, started)
+
+
+# Groups outside the named families, each by permutation generators, with
+# the sha256 of its `finspace verify` stdout.  Q8 acts on its own elements
+# 1, i, j, k, -1, -i, -j, -k by left multiplication by i and j.
+CORPUS = {
+    "Q8": ("[[1,4,3,6,5,0,7,2],[2,7,4,1,6,3,0,5]]",
+           "6c93e5bcad19a22bd487ddbdf35e37e7a02ec6328b8bb652b7485f7e62a2d49d"),
+    "A4": ("[[1,2,0,3],[0,2,3,1]]",
+           "2be4d5c52978a79ff6be1c94f3f5f29cdd3dd2fed8688350ca4d80fd2ab7cdc3"),
+    "C7:C3": ("[[1,2,3,4,5,6,0],[0,2,4,6,1,3,5]]",
+              "93d02b36175bc33f7deeca452a2e2c999fc994d3f0856fb17af6006bf5eaea8d"),
+    "A5": ("[[1,2,3,4,0],[1,2,0,3,4]]",
+           "e7197ab863cee84f776f638134f63c3132ec85679f274abe15c79e07e34c4d8f"),
+    "C2^4": ("[[1,0,2,3,4,5,6,7],[0,1,3,2,4,5,6,7],[0,1,2,3,5,4,6,7],[0,1,2,3,4,5,7,6]]",
+             "7a0322bde811b6a86fbf827cacf3fb04f961df07c15bf3e897d618260e43f65d"),
+    "S4 by transpositions": ("[[1,0,2,3],[0,2,1,3],[0,1,3,2]]",
+                             "f1d688e687211eb0fcdfe0997efffe3267e4ee8c66af60a21a3389386aca24dd"),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_criterion_9_corpus_verifies_with_pinned_output(name):
+    started = time.perf_counter()
+    gens, digest = CORPUS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", f"perm:{gens}"])
+    assert code == 0, out.getvalue()
+    assert out.getvalue().splitlines()[-1].endswith(": PASS")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    _finish(f"criterion 9: corpus group {name}", 30, started)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import closure_from_pairs, covers_from_closure, random_poset
+from conftest import closure_from_pairs, covers_from_closure, full_table, random_poset
 from finspace import (
     Poset,
     RealizationSpace,
@@ -338,11 +338,12 @@ def test_induced_translation_identity_and_shape():
 def _named_translation(space, h):
     """x -> x*h by block names: block g of each slot to block g*h, same local."""
     group = space.group
+    table = full_table(group)
     prefix = {"vertex": "vert", "edge": "edge", "start": "src", "end": "dst"}
     out = {}
     for point, info in space.provenance.items():
         g = group.elements.index(info.element)
-        image = group.elements[group.table[g][h]]
+        image = group.elements[table[g][h]]
         colour = "" if info.color is None else info.color
         out[point] = f"{prefix[info.kind]}{colour}[{image}]{point[len(info.block):]}"
     return out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_colored_digraph, reference_refine, seeded_digraphs
+from conftest import full_table, random_colored_digraph, reference_refine, seeded_digraphs
 from finspace import (
     FiniteGroup,
     RealizationSpace,
@@ -769,7 +769,7 @@ def _collapse_one(image, space, s):
 
 def _copy_other(image, space, s):
     """t_{s*s}: an automorphism, but it moves vertex block g to g*s*s."""
-    image[:] = induced_translation(space, space.group.table[s][s])
+    image[:] = induced_translation(space, full_table(space.group)[s][s])
 
 
 @pytest.mark.parametrize(
@@ -850,7 +850,7 @@ def test_certificate_rejects_translations_of_another_group(monkeypatch):
     but t_x moves the vertex block of x to x2, not to x*x = e in V4."""
     c4 = build_realization(cyclic(4))
     v4 = klein_four()
-    v4 = FiniteGroup(c4.group.elements, v4.table, v4.identity, generators=(1, 2))
+    v4 = FiniteGroup(c4.group.elements, full_table(v4), v4.identity, generators=(1, 2))
     monkeypatch.setattr(
         engine, "build_realization",
         lambda group: RealizationSpace(c4.poset, c4.provenance, group),

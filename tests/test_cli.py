@@ -217,6 +217,38 @@ def test_verify_group_over_order_cap(capsys):
     assert "group too large" in err
 
 
+# Runs argv[1:], waits for it with os.wait4 and prints its exit code, peak
+# RSS in kilobytes, stdout and stderr as JSON.  A child exec'd straight from
+# the test process would report that process's peak RSS as its own: Linux
+# carries the peak of the address space it replaces across exec.
+_WAIT4 = """
+import json, os, subprocess, sys
+p = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+out, err = p.stdout.read(), p.stderr.read()
+_, status, usage = os.wait4(p.pid, 0)
+p.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([p.returncode, usage.ru_maxrss, out, err]))
+"""
+
+
+@pytest.mark.parametrize(
+    "spec", ["perm:[[1,0,2,3,4,5,6],[1,2,3,4,5,6,0]]", "cyclic:10000"], ids=["S7", "C10000"]
+)
+def test_verify_refuses_large_groups_in_little_memory(spec):
+    """A group over the point budget costs its generators' rows and columns
+    before it is refused, not a |G| x |G| table: the refusing process peaks
+    under 64 MB RSS, read from ``os.wait4``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(finspace.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _WAIT4, sys.executable, "-m", "finspace.cli", "verify", spec],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, peak_kb, out, err = json.loads(done.stdout)
+    assert (code, out) == (1, ""), err
+    assert "budget" in err
+    assert peak_kb / 1024 < 64, f"{spec}: {peak_kb / 1024:.0f} MB peak RSS"
+
+
 def test_verify_with_raised_budget(capsys):
     code, out, _ = run(capsys, "verify", "cyclic:4", "--budget", "500")
     assert code == 0

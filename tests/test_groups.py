@@ -1,10 +1,14 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_group_check
+from conftest import element_order, full_table, reference_group_check
+from test_acceptance import CORPUS
 from finspace import (
     FiniteGroup,
+    build_realization,
     cayley_graph,
     cyclic,
     dihedral,
@@ -14,7 +18,7 @@ from finspace import (
     right_translation,
     symmetric,
 )
-from finspace.groups import DEFAULT_ORDER_CAP, _compose, cycle_name
+from finspace.groups import DEFAULT_ORDER_CAP, _compose, _is_perm, cycle_name
 
 
 # -- enumeration from permutations -----------------------------------------
@@ -77,8 +81,9 @@ def _assert_composition_table(g, perms):
     """table[i][j] is the index of perms[i] * perms[j] (apply j first)."""
     index = {p: i for i, p in enumerate(perms)}
     assert len(index) == g.order
+    table = full_table(g)
     for i, p in enumerate(perms):
-        assert g.table[i] == tuple(index[_compose(p, q)] for q in perms)
+        assert table[i] == tuple(index[_compose(p, q)] for q in perms)
 
 
 def _from_cycle_name(name, m):
@@ -118,7 +123,7 @@ def test_cyclic_basics():
     g = cyclic(3)
     assert g.order == 3
     assert len(g.generators) == 1
-    assert g.element_order(g.generators[0]) == 3
+    assert element_order(g, g.generators[0]) == 3
 
 
 def test_cyclic_rejects_trivial():
@@ -130,15 +135,16 @@ def test_dihedral_basics():
     g = dihedral(6)
     assert g.order == 6
     assert len(g.generators) == 2
-    assert g.element_order(g.generators[0]) == 3
-    assert g.element_order(g.generators[1]) == 2
+    assert element_order(g, g.generators[0]) == 3
+    assert element_order(g, g.generators[1]) == 2
 
 
 def test_dihedral_relation():
     # t*s*t*s = e, i.e. s*t*s^-1 = t^-1
     g = dihedral(8)
     t, s = g.generators
-    x = g.mul(g.mul(g.mul(t, s), t), s)
+    table = full_table(g)
+    x = table[table[table[t][s]][t]][s]
     assert x == g.identity
 
 
@@ -172,7 +178,7 @@ def test_cycle_name_with_point_names():
 
 def test_klein_four_element_orders():
     g = klein_four()
-    orders = sorted(g.element_order(i) for i in range(g.order))
+    orders = sorted(element_order(g, i) for i in range(g.order))
     assert orders == [1, 2, 2, 2]
     assert len(g.generators) == 2
 
@@ -180,13 +186,19 @@ def test_klein_four_element_orders():
 def test_cyclic_table_is_addition_mod_m():
     for m in range(2, 41):
         table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-        assert cyclic(m).table == table
+        assert full_table(cyclic(m)) == table
 
 
 def _tuple_table(table) -> bool:
     return type(table) is tuple and all(
         type(row) is tuple and all(type(x) is int for x in row) for row in table
     )
+
+
+def _tuple_group(g) -> bool:
+    """The generators' rows and columns are tuples of ints, as a table's
+    rows were."""
+    return _tuple_table(g.rows) and _tuple_table(g.cols)
 
 
 def test_dihedral_table_is_the_rotation_reflection_formula():
@@ -203,7 +215,7 @@ def test_dihedral_table_is_the_rotation_reflection_formula():
             for a in range(m)
         )
         g = dihedral(order)
-        assert g.table == table and _tuple_table(g.table)
+        assert full_table(g) == table and _tuple_group(g)
         assert g.generators == (1, m)
 
 
@@ -217,13 +229,14 @@ def test_dihedral_table_is_the_rotation_reflection_formula():
 )
 def test_direct_product_table_is_the_componentwise_formula(g, h):
     nh = h.order
+    tg, th = full_table(g), full_table(h)
     table = tuple(
-        tuple(g.table[a][c] * nh + h.table[b][d] for c in range(g.order) for d in range(nh))
+        tuple(tg[a][c] * nh + th[b][d] for c in range(g.order) for d in range(nh))
         for a in range(g.order)
         for b in range(nh)
     )
     p = direct_product(g, h)
-    assert p.table == table and _tuple_table(p.table)
+    assert full_table(p) == table and _tuple_group(p)
     assert p.identity == g.identity * nh + h.identity
 
 
@@ -236,7 +249,7 @@ def test_direct_product_refuses_orders_over_the_cap():
 def test_direct_product_of_cyclics():
     g = direct_product(cyclic(2), cyclic(3))
     assert g.order == 6
-    orders = sorted(g.element_order(i) for i in range(6))
+    orders = sorted(element_order(g, i) for i in range(6))
     assert orders == [1, 2, 3, 3, 6, 6]
 
 
@@ -393,7 +406,7 @@ def test_table_validation_is_exact_above_order_64():
     from finspace import FiniteGroup
 
     base = cyclic(66)
-    table = [list(row) for row in base.table]
+    table = [list(row) for row in full_table(base)]
     # rows 1 and 34, columns 2 and 35 hold the 2x2 square [[3, 36], [36, 3]]
     for r in (1, 34):
         table[r][2], table[r][35] = table[r][35], table[r][2]
@@ -524,7 +537,7 @@ def perturbed_tables(draw):
     holds and the later checks are reached."""
     group = draw(st.sampled_from(_SMALL_GROUPS))
     n = group.order
-    table = [list(row) for row in group.table]
+    table = [list(row) for row in full_table(group)]
     for _ in range(draw(st.integers(0, 3))):
         low = 0 if draw(st.integers(0, 7)) == 0 else 1
         cell = st.integers(low, n - 1)
@@ -567,3 +580,161 @@ def test_table_validation_matches_the_full_table_reference(case):
     elements, table, generators = case
     expected = _refusal(reference_group_check, elements, table, 0, generators)
     assert _refusal(FiniteGroup, elements, table, 0, generators) == expected
+
+
+# -- the generators' rows and columns against full reference tables ---------
+
+
+def _reference_enumerate(gens):
+    """The enumeration that tabulated permutation groups in full:
+    permutations, word names and the |G| x |G| table, in breadth-first
+    order over right multiplication.  Each y = x*g_k found from an earlier
+    x gets the row of x permuted, y*z = x*(g_k*z)."""
+    m = len(gens[0])
+    assert all(_is_perm(p) and len(p) == m for p in gens)
+    ident = tuple(range(m))
+    index, perms, names, tree = {ident: 0}, [ident], ["e"], []
+    for i, x in enumerate(perms):
+        for k, g in enumerate(gens):
+            y = _compose(x, g)
+            if y not in index:
+                index[y] = len(perms)
+                perms.append(y)
+                names.append(f"g{k + 1}" if i == 0 else f"{names[i]}*g{k + 1}")
+                tree.append((i, k))
+    left = [[index[_compose(g, p)] for p in perms] for g in gens]
+    rows = [tuple(range(len(perms)))]
+    for parent, k in tree:
+        rows.append(tuple(rows[parent][z] for z in left[k]))
+    return perms, names, tuple(rows)
+
+
+def _reference_perm_group(gens):
+    """(elements, table, identity, generators) of group_from_permutations."""
+    _, names, table = _reference_enumerate([tuple(p) for p in gens])
+    return tuple(names), table, 0, tuple(range(1, len(gens) + 1))
+
+
+def _reference_symmetric(m):
+    gens = [tuple([1, 0] + list(range(2, m)))]
+    if m >= 3:
+        gens.append(tuple(list(range(1, m)) + [0]))
+    perms, _, table = _reference_enumerate(gens)
+    return tuple(map(cycle_name, perms)), table, 0, tuple(range(1, len(gens) + 1))
+
+
+def _reference_cyclic(m):
+    names = ("e", "x") + tuple(f"x{i}" for i in range(2, m))
+    return names, tuple(tuple((i + j) % m for j in range(m)) for i in range(m)), 0, (1,)
+
+
+def _reference_dihedral(order):
+    """t^a * s^b times t^c * s^d is t^(a +- c) * s^(b+d), element a + m*b."""
+    m = order // 2
+    table = tuple(
+        tuple(
+            (a + (c if b == 0 else -c)) % m + m * ((b + d) % 2) for d in (0, 1) for c in range(m)
+        )
+        for b in (0, 1)
+        for a in range(m)
+    )
+
+    def name(i, j):
+        t = "" if i == 0 else ("t" if i == 1 else f"t{i}")
+        return "*".join(filter(None, (t, "s" * j))) or "e"
+
+    return tuple(name(i, j) for j in (0, 1) for i in range(m)), table, 0, (1, m)
+
+
+def _reference_product(g, h):
+    """Componentwise, (a, b) at a*|H| + b, generators of g then of h."""
+    (eg, tg, ig, sg), (eh, th, ih, sh) = g, h
+    nh = len(eh)
+    table = tuple(
+        tuple(tg[a][c] * nh + th[b][d] for c in range(len(eg)) for d in range(nh))
+        for a in range(len(eg))
+        for b in range(nh)
+    )
+    names = tuple(f"({a},{b})" for a in eg for b in eh)
+    gens = tuple(k * nh + ih for k in sg) + tuple(ig * nh + k for k in sh)
+    return names, table, ig * nh + ih, gens
+
+
+_CORPUS = {name: json.loads(gens) for name, (gens, _) in CORPUS.items()}
+_Q8 = _CORPUS["Q8"]
+# (name, group, reference), the corpus of the acceptance suite included.
+_DIFFERENTIAL = (
+    [(f"S{m}", lambda m=m: symmetric(m), lambda m=m: _reference_symmetric(m))
+     for m in range(2, 7)]
+    + [(f"C{m}", lambda m=m: cyclic(m), lambda m=m: _reference_cyclic(m)) for m in (2, 3, 7, 12)]
+    + [(f"D{o}", lambda o=o: dihedral(o), lambda o=o: _reference_dihedral(o)) for o in (6, 8, 14)]
+    + [
+        ("C2xC3", lambda: direct_product(cyclic(2), cyclic(3)),
+         lambda: _reference_product(_reference_cyclic(2), _reference_cyclic(3))),
+        ("V4", klein_four,
+         lambda: _reference_product(_reference_cyclic(2), _reference_cyclic(2))),
+        ("S3xC2", lambda: direct_product(symmetric(3), cyclic(2)),
+         lambda: _reference_product(_reference_symmetric(3), _reference_cyclic(2))),
+        ("C3xD8", lambda: direct_product(cyclic(3), dihedral(8)),
+         lambda: _reference_product(_reference_cyclic(3), _reference_dihedral(8))),
+        ("S3xQ8", lambda: direct_product(symmetric(3), group_from_permutations(_Q8)),
+         lambda: _reference_product(_reference_symmetric(3), _reference_perm_group(_Q8))),
+    ]
+    + [(name, lambda g=g: group_from_permutations(g), lambda g=g: _reference_perm_group(g))
+       for name, g in _CORPUS.items()]
+)
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [case[1:] for case in _DIFFERENTIAL],
+    ids=[case[0] for case in _DIFFERENTIAL],
+)
+def test_rows_and_columns_match_the_full_reference_table(build, reference):
+    """Same names, identity and generators as the full table; the
+    generators' rows and columns are its rows and columns; every element's
+    right translation is its column; and the realization spaces agree, each
+    end block above the vertex block the reference row names."""
+    group = build()
+    elements, table, identity, generators = reference()
+    assert (group.elements, group.identity, group.generators) == (elements, identity, generators)
+    columns = list(zip(*table))
+    assert group.rows == tuple(table[s] for s in generators)
+    assert group.cols == tuple(columns[s] for s in generators)
+    assert [right_translation(group, h) for h in range(group.order)] == columns
+
+    space = build_realization(group)
+    expected = build_realization(FiniteGroup(elements, table, identity, generators))
+    assert space.poset.points == expected.poset.points
+    assert space.poset.up == expected.poset.up
+    points, up = space.poset.points, space.poset.up
+    below: dict[str, set[str]] = {}
+    for i, name in enumerate(points):
+        lower = name.split("/", 1)[0]
+        if lower.startswith("vert["):
+            for j in up[i]:
+                upper = points[j].split("/", 1)[0]
+                if upper.startswith("dst"):
+                    below.setdefault(upper, set()).add(lower)
+    assert below == {
+        f"dst{k}[{elements[x]}]": {f"vert[{elements[table[s][x]]}]"}
+        for k, s in enumerate(generators, 1)
+        for x in range(len(elements))
+    }
+
+
+def test_no_light_test_for_permutations_or_closed_forms(monkeypatch):
+    """Permutation closures and closed forms are groups by construction;
+    only a group given as a table is certified."""
+
+    def refuse(self, table):
+        raise AssertionError("Light's test ran")
+
+    monkeypatch.setattr(FiniteGroup, "_passes_light_test", refuse)
+    symmetric(6)
+    group_from_permutations(_CORPUS["A5"])
+    cyclic(DEFAULT_ORDER_CAP)
+    dihedral(DEFAULT_ORDER_CAP)
+    direct_product(dihedral(8), klein_four())
+    with pytest.raises(AssertionError, match="Light's test ran"):
+        FiniteGroup(*_reference_cyclic(3))
