@@ -24,12 +24,18 @@ generators, it lays one degree-0 block per group element and, per colored
 Cayley edge, one edge block plus two flanking second-story blocks whose
 family indices encode the edge color and its orientation.  The resulting
 four-level poset is minimal and its Hasse-digraph automorphism group
-reproduces the group.
+reproduces the group.  The space keeps one record per block
+(``BlockInfo``): kind, family, element and target indices, colour, and
+the range of point indices the block fills.  So ``induced_translation``
+is one index range per block, the range of the block of the same slot
+at g*h, and no point is looked up by name; names are for I/O.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .blocks import asymmetric_block
@@ -106,45 +112,60 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
 
 @dataclass(frozen=True)
 class BlockInfo:
-    """Provenance of one assembled point: which block it came from.
+    """One block of a realization space, and where its points lie.
 
-    kind is "vertex", "edge", "start" or "end"; element is the group
-    element for vertex blocks and the edge's source element otherwise;
-    target is the edge's endpoint (None for vertex blocks)."""
+    kind is "vertex", "edge", "start" or "end"; element is the index of
+    the group element for vertex blocks and of the edge's source
+    otherwise; target is the index of the edge's endpoint (None for vertex
+    blocks).  The block's points are ``points[start:start + size]`` of the
+    space's poset, in the order of the block's own points."""
 
     kind: str
     family: int
     block: str
-    element: str
+    element: int
     color: int | None
-    target: str | None
+    target: int | None
+    start: int
+    size: int
 
 
 @dataclass(frozen=True)
 class RealizationSpace:
+    """A poset assembled from blocks, with one record per block.  The
+    records list the blocks in order and tile the points: each starts
+    where the one before it ends, none is empty, and the last ends at the
+    last point.  Their element and target indices are the group's."""
+
     poset: Poset
-    provenance: dict[str, BlockInfo]
+    blocks: tuple[BlockInfo, ...]
     group: FiniteGroup
 
     def __post_init__(self) -> None:
-        if set(self.provenance) != set(self.poset.points):
-            raise ValueError("provenance must cover exactly the assembled points")
+        at, order = 0, self.group.order
+        for info in self.blocks:
+            if info.size < 1:
+                raise ValueError(f"empty block {info.block!r}")
+            if info.start != at:
+                raise ValueError(f"block {info.block!r} starts at {info.start}, not at {at}")
+            if not all(0 <= g < order for g in (info.element, info.target) if g is not None):
+                raise ValueError(f"block {info.block!r} names no element of the group")
+            at += info.size
+        if at != len(self.poset.points):
+            raise ValueError("the blocks must cover exactly the assembled points")
+
+    @cached_property
+    def provenance(self) -> dict[str, BlockInfo]:
+        """Each point's block record, by point name: a view for callers
+        that look points up by name."""
+        points = self.poset.points
+        return {
+            x: info for info in self.blocks for x in points[info.start:info.start + info.size]
+        }
 
     def block_inventory(self) -> dict[int, int]:
         """Count of blocks per family index."""
-        blocks: dict[str, int] = {}
-        for info in self.provenance.values():
-            blocks[info.block] = info.family
-        counts: dict[int, int] = {}
-        for fam in blocks.values():
-            counts[fam] = counts.get(fam, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def block_point_sets(self) -> dict[str, frozenset[str]]:
-        grouped: dict[str, set[str]] = {}
-        for point, info in self.provenance.items():
-            grouped.setdefault(info.block, set()).add(point)
-        return {b: frozenset(s) for b, s in grouped.items()}
+        return dict(sorted(Counter(info.family for info in self.blocks).items()))
 
 
 def predicted_point_count(group: FiniteGroup) -> int:
@@ -171,65 +192,61 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
     n = len(group.generators)
     family = [asymmetric_block(k) for k in range(3 * n + 1)]  # immutable, shared
     blocks: dict[str, Poset] = {}
+    records: list[BlockInfo] = []
     connections: set[tuple[str, str]] = set()
-    info: list[BlockInfo] = []
+
+    def add(kind: str, fam: int, name: str, g: int, color=None, target=None) -> None:
+        # assemble lists the points block by block, in the order they are added
+        start = records[-1].start + records[-1].size if records else 0
+        blocks[name] = family[fam]
+        records.append(
+            BlockInfo(kind, fam, name, g, color, target, start, len(family[fam].points))
+        )
 
     def vert_name(g: int) -> str:
         return f"vert[{group.elements[g]}]"
 
     for g in range(group.order):
-        blocks[vert_name(g)] = family[0]
-        info.append(BlockInfo("vertex", 0, vert_name(g), group.elements[g], None, None))
+        add("vertex", 0, vert_name(g), g)
     for k, row in enumerate(group.rows, start=1):
         for g, target in enumerate(row):
             e_name, s_name, d_name = _block_names(group, k, g)
-            blocks[e_name] = family[k]
-            blocks[s_name] = family[n + k]
-            blocks[d_name] = family[2 * n + k]
-            src_el = group.elements[g]
-            dst_el = group.elements[target]
-            info.append(BlockInfo("edge", k, e_name, src_el, k, dst_el))
-            info.append(BlockInfo("start", n + k, s_name, src_el, k, dst_el))
-            info.append(BlockInfo("end", 2 * n + k, d_name, src_el, k, dst_el))
+            add("edge", k, e_name, g, k, target)
+            add("start", n + k, s_name, g, k, target)
+            add("end", 2 * n + k, d_name, g, k, target)
             connections.add((vert_name(g), s_name))
             connections.add((e_name, s_name))
             connections.add((vert_name(target), d_name))
             connections.add((e_name, d_name))
 
     poset = assemble(blocks, connections)
-    # assemble lists points block by block, and info holds the blocks in order.
-    per_point = (binfo for binfo in info for _ in blocks[binfo.block].points)
-    provenance = dict(zip(poset.points, per_point))
-    return RealizationSpace(poset=poset, provenance=provenance, group=group)
+    return RealizationSpace(poset=poset, blocks=tuple(records), group=group)
 
 
 def induced_translation(space: RealizationSpace, h: int) -> tuple[int, ...]:
     """The point map on the realization space induced by x -> x*h.
 
-    Each point of the block of slot (kind, colour) and element g goes to
-    the point of the same local name in the block of that slot and g*h:
-    the vertex block of g to that of g*h, the blocks of edge (g, g_k*g) to
+    The block of slot (kind, colour) and element g goes onto the block of
+    that slot and g*h, point i of the one onto point i of the other: the
+    vertex block of g onto that of g*h, the blocks of edge (g, g_k*g) onto
     those of (g*h, g_k*g*h).  g*h is read from ``right_translation``, and
-    blocks, slots and elements from ``provenance``.  Returned in index
-    form: entry i is the index in ``space.poset.points`` of the image of
-    point i.  Raises ``ValueError`` for an h out of range, when two blocks
-    claim one slot and element, or when an image point is missing.
-    Whether the map is an automorphism is the caller's check.
+    each block's slot, element and points from its record, so the map is
+    one range of indices per block.  Returned in index form: entry i is
+    the index in ``space.poset.points`` of the image of point i.  Raises
+    ``ValueError`` for an h out of range, when two blocks claim one slot
+    and element, or when a block has no image of its size.  Whether the
+    map is an automorphism is the caller's check.
     """
-    names = space.group.elements
-    times_h = dict(zip(names, map(names.__getitem__, right_translation(space.group, h))))
-    block_of: dict[tuple, str] = {}
-    for info in space.provenance.values():
+    times_h = right_translation(space.group, h)
+    block_at: dict[tuple, BlockInfo] = {}
+    for info in space.blocks:
         key = (info.kind, info.color, info.element)
-        if block_of.setdefault(key, info.block) != info.block:
-            raise ValueError(f"{block_of[key]!r} and {info.block!r} claim one slot")
-    index = space.poset._index
-    image: list[int] = []
-    try:
-        for p in space.poset.points:
-            info = space.provenance[p]
-            target = block_of[info.kind, info.color, times_h[info.element]]
-            image.append(index[target + p[len(info.block):]])
-    except KeyError as exc:
-        raise ValueError(f"no image under element {h} for {exc}") from None
-    return tuple(image)
+        if block_at.setdefault(key, info) is not info:
+            raise ValueError(f"{block_at[key].block!r} and {info.block!r} claim one slot")
+    ranges = []
+    for info in space.blocks:
+        image = block_at.get((info.kind, info.color, times_h[info.element]))
+        if image is None or image.size != info.size:
+            raise ValueError(f"no image under element {h} for block {info.block!r}")
+        ranges.append(range(image.start, image.start + image.size))
+    return tuple(chain.from_iterable(ranges))

@@ -134,12 +134,19 @@ class ColoredDigraph:
         nbrs = channels[0]
         for rows in channels[1:]:
             nbrs = tuple(map(add, nbrs, rows))
-        degrees = list(zip(*(map(len, rows) for rows in channels)))
+        degrees = self._degrees
         shared = {
             deg: tuple(chain.from_iterable([r * n] * k for r, k in enumerate(deg)))
             for deg in set(degrees)
         }
         return nbrs, tuple(map(shared.__getitem__, degrees))
+
+    @cached_property
+    def _degrees(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its number of edges in each channel of ``_incidence``:
+        out-degree per color, then in-degree per color."""
+        channels = [rows for _, rows in self.out] + list(self._into)
+        return tuple(zip(*(map(len, rows) for rows in channels))) or ((),) * len(self.vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)

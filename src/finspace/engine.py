@@ -11,7 +11,13 @@ later part is named by its own start, so no other class is renamed.  Only
 the vertices next to a part split off are re-signed, each split class's
 largest part excepted (the "smaller half" rule of Berkholz, Bonsma and
 Grohe, ESA 2013).  ``_refine`` starts from seed keys and ``_split`` splits
-one vertex off its class.  The incidence they read,
+one vertex off its class.  Unless the caller seeds it, the search seeds
+its root with each vertex's channel degrees, out-degree per color then
+in-degree per color (``ColoredDigraph._degrees``).  That is the partition
+a first round from one class computes, so every later round has the same
+classes and the trace has one entry fewer.  Every automorphism keeps
+degrees, so this seed prunes nothing a search from one class would keep.
+The public ``refine`` still starts from one class.  The incidence they read,
 ``ColoredDigraph._incidence``, joins each vertex's rows of every layer,
 out-rows then in-rows; a Hasse digraph's in-rows are its poset's lower
 covers, which minimality and ``isomorphic``'s seeds read too.
@@ -55,12 +61,14 @@ of H-orbits, so a round has at most m classes.  A round with exactly m has
 the Aut-orbits as its classes, and an orbit partition is equitable: the
 next round would split nothing, so the refinement stops there with the
 same partition, one trace entry short.  Verify's root, the translation
-orbits, takes three rounds instead of four.  Every map emitted by the
-search is checked by one edge test, ``_carries``, on the digraphs'
-per-color rows (``ColoredDigraph.out``), and against the seed coloring, so
-refinement and the walk are pruning devices, never a source of truth.  The
-same edge test serves a factorial-time oracle over all vertex bijections,
-for cross-validation on small graphs, and part 2 of the certificate.
+orbits, takes two rounds from the degree seed (four from one class, run
+to the end).  Every map emitted by the search, and every known map, is
+checked by one edge test, ``_carries``, on the digraphs' per-color rows
+(``ColoredDigraph.out``), and against the seed coloring, so refinement and
+the walk are pruning devices, never a source of truth.  The same edge test
+serves a factorial-time oracle over all vertex bijections, for
+cross-validation on small graphs.  In verify, the check of the known maps
+is part 2's edge test: each t_s is edge-tested once.
 
 On top of the search: poset isomorphism (``isomorphic``), the realization
 certificate (``verify_realization``, exact on the generators' translations
@@ -77,7 +85,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import filterfalse, permutations
-from operator import add, eq
+from operator import add, eq, ne
 
 from .assembly import (
     RealizationSpace,
@@ -323,7 +331,8 @@ def _join(parent: list[int], sigma: VertexPerm) -> None:
 class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
-    The constructor checks the ``known`` automorphisms (automorphism mode
+    A side without a seed is seeded by its channel degrees.  The
+    constructor checks the ``known`` automorphisms (automorphism mode
     only), joins their orbits in a union-find forest, refines the left
     root, stopping once it has as many classes as the forest has trees,
     and descends from it.  ``path[d]`` is the left side's ((colors,
@@ -343,8 +352,11 @@ class _PairSearch:
         self.inc_b = b._incidence
         self.out_a = a.out
         self.out_b = b.out
-        self.keys_a = [0] * self.n if seed_a is None else [seed_a[v] for v in a.vertices]
-        self.keys_b = [0] * len(b) if seed_b is None else [seed_b[v] for v in b.vertices]
+        self.keys_a = a._degrees if seed_a is None else [seed_a[v] for v in a.vertices]
+        self.keys_b = b._degrees if seed_b is None else [seed_b[v] for v in b.vertices]
+        # A bijection that carries the arcs keeps the channel degrees, so
+        # only seeds the caller gave are checked on each map.
+        self.seeded = seed_a is not None or seed_b is not None
         self.known = [tuple(sigma) for sigma in known]
         every = list(range(self.n))
         self.forest = every[:]
@@ -376,7 +388,7 @@ class _PairSearch:
         arcs and keeps the seed keys: then it is an isomorphism."""
         if not _carries(sigma, self.out_a, self.out_b):
             return None
-        if any(self.keys_a[v] != self.keys_b[w] for v, w in enumerate(sigma)):
+        if self.seeded and any(map(ne, self.keys_a, map(self.keys_b.__getitem__, sigma))):
             return None
         return sigma
 
@@ -615,15 +627,28 @@ def verify_realization(
     group given as a table (``groups`` module docstring).  So
     |H| >= |G| = |Aut(X)| by (3): H = Aut(X), and its action on the vertex
     blocks is an isomorphism onto rho(G), a copy of G.  Nothing assumes
-    that h -> t_h is a homomorphism.  The engine is given the t_s that pass
-    (2), which prune its depth-0 orbits; (3)'s upper bound is its search's.
-    A budget below 1 raises ``ValueError`` before any work.
+    that h -> t_h is a homomorphism.
+
+    Part (2) is split between two places, so that each t_s is edge-tested
+    once.  ``_check_generators`` keeps the t_s that are bijections moving
+    the vertex blocks as above; the engine takes them as known maps and
+    edge-tests each, raising ``ValueError`` if one fails, before they prune
+    its depth-0 orbits.  Then the maps that fail the edge test are dropped
+    and the engine runs again on the rest, so a t_s that is no
+    automorphism only lowers the count of valid generators.  (3)'s upper
+    bound is the search's.  A budget below 1 raises ``ValueError`` before
+    any work.
     """
     _refuse_over_budget(group, budget)
     space = build_realization(group)
     x = space.poset
     d = hasse_digraph(x)
-    valid = _check_generators(space, d.out)
+    valid = _check_generators(space)
+    try:
+        aut = automorphisms(d, valid)
+    except ValueError:
+        valid = [sigma for sigma in valid if _carries(sigma, d.out, d.out)]
+        aut = automorphisms(d, valid)
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
@@ -632,29 +657,32 @@ def verify_realization(
         inventory=tuple(space.block_inventory().items()),
         minimal=is_minimal(x),
         generators_valid=len(valid),
-        engine_order=automorphisms(d, valid).order,
+        engine_order=aut.order,
     )
 
 
-def _check_generators(space: RealizationSpace, out) -> list[VertexPerm]:
-    """Part 2: the translations t_s of the generators s that permute the
-    point indices, carry every edge onto an edge, and map each point of the
-    vertex block of g into that of g*s.  Vertex blocks come from the
-    provenance; with one of them empty, no generator passes."""
+def _check_generators(space: RealizationSpace) -> list[VertexPerm]:
+    """The part of part 2 done before the engine: the translations t_s of
+    the generators s that permute the point indices and map each point of
+    the vertex block of g into that of g*s.  Vertex blocks come from the
+    block records; with an element that has none, no generator passes.
+    That each t_s carries every edge onto an edge is the engine's check of
+    its known maps."""
     group = space.group
-    elem = {x: g for g, x in enumerate(group.elements)}
-    infos = map(space.provenance.__getitem__, space.poset.points)
-    vertex = [elem.get(i.element) if i.kind == "vertex" else None for i in infos]
-    blocks = [(x, g) for x, g in enumerate(vertex) if g is not None]
-    if {g for _, g in blocks} != set(range(group.order)):
+    vertex = [info for info in space.blocks if info.kind == "vertex"]
+    if {info.element for info in vertex} != set(range(group.order)):
         return []
+    every = list(range(len(space.poset.points)))
+    owner = [-1] * len(every)
+    for info in vertex:
+        owner[info.start:info.start + info.size] = [info.element] * info.size
     valid = []
     for s, times_s in zip(group.generators, group.cols):
         image = induced_translation(space, s)
-        if (
-            sorted(image) == list(range(len(vertex)))
-            and _carries(image, out, out)
-            and all(vertex[image[x]] == times_s[g] for x, g in blocks)
+        if sorted(image) == every and all(
+            owner[y] == times_s[info.element]
+            for info in vertex
+            for y in image[info.start:info.start + info.size]
         ):
             valid.append(image)
     return valid

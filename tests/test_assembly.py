@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import closure_from_pairs, covers_from_closure, full_table, random_poset
+from test_acceptance import CORPUS
 from finspace import (
     Poset,
     RealizationSpace,
@@ -15,12 +17,14 @@ from finspace import (
     build_realization,
     cyclic,
     dihedral,
+    group_from_permutations,
     induced_translation,
     isomorphic,
     is_minimal,
     level_of,
     make_poset,
     predicted_point_count,
+    right_translation,
     symmetric,
     verify_realization,
 )
@@ -279,21 +283,24 @@ def _components(points, covers):
     return set(comps)
 
 
+def _block_points(space, info) -> frozenset[str]:
+    return frozenset(space.poset.points[info.start:info.start + info.size])
+
+
 def test_story_components_are_exactly_the_blocks():
     space = build_realization(dihedral(6))
     levels = {x: level_of(space.poset, x) for x in space.poset.points}
     lower = {x for x, l in levels.items() if l <= 2}
     upper = {x for x, l in levels.items() if l >= 3}
-    block_sets = space.block_point_sets()
     lower_blocks = {
-        frozenset(pts)
-        for b, pts in block_sets.items()
-        if space.provenance[next(iter(pts))].kind in ("vertex", "edge")
+        _block_points(space, info)
+        for info in space.blocks
+        if info.kind in ("vertex", "edge")
     }
     upper_blocks = {
-        frozenset(pts)
-        for b, pts in block_sets.items()
-        if space.provenance[next(iter(pts))].kind in ("start", "end")
+        _block_points(space, info)
+        for info in space.blocks
+        if info.kind in ("start", "end")
     }
     assert _components(lower, space.poset.covers) == lower_blocks
     assert _components(upper, space.poset.covers) == upper_blocks
@@ -301,25 +308,22 @@ def test_story_components_are_exactly_the_blocks():
 
 def test_second_story_blocks_attach_to_one_vertex_and_one_edge_block():
     space = build_realization(dihedral(6))
-    block_sets = space.block_point_sets()
-    for bname, pts in block_sets.items():
-        info = space.provenance[next(iter(pts))]
+    by_name = {info.block: info for info in space.blocks}
+    for info in space.blocks:
         if info.kind not in ("start", "end"):
             continue
+        pts = _block_points(space, info)
         feeders = {
             space.provenance[x].block
             for x, y in space.poset.covers
             if y in pts and x not in pts
         }
-        kinds = {space.provenance[next(iter(block_sets[b]))].kind for b in feeders}
+        kinds = {by_name[b].kind for b in feeders}
         assert kinds == {"vertex", "edge"}
         assert len(feeders) == 2
-        vertex_block = next(
-            b for b in feeders
-            if space.provenance[next(iter(block_sets[b]))].kind == "vertex"
-        )
+        vertex_block = next(b for b in feeders if by_name[b].kind == "vertex")
         owner = info.element if info.kind == "start" else info.target
-        assert vertex_block == f"vert[{owner}]"
+        assert vertex_block == f"vert[{space.group.elements[owner]}]"
 
 
 def test_induced_translation_identity_and_shape():
@@ -342,8 +346,7 @@ def _named_translation(space, h):
     prefix = {"vertex": "vert", "edge": "edge", "start": "src", "end": "dst"}
     out = {}
     for point, info in space.provenance.items():
-        g = group.elements.index(info.element)
-        image = group.elements[table[g][h]]
+        image = group.elements[table[info.element][h]]
         colour = "" if info.color is None else info.color
         out[point] = f"{prefix[info.kind]}{colour}[{image}]{point[len(info.block):]}"
     return out
@@ -359,23 +362,62 @@ def test_induced_translation_matches_block_names(group):
         assert [points[i] for i in image] == [named[p] for p in points]
 
 
-def test_translation_follows_names_not_layout(monkeypatch):
+def _reference_translation(space, h):
+    """The point-by-point translation: each point's image looked up by name,
+    the target block's name plus the point's local name, in the poset's
+    name index."""
+    times_h = right_translation(space.group, h)
+    block_of: dict[tuple, str] = {}
+    for info in space.provenance.values():
+        key = (info.kind, info.color, info.element)
+        if block_of.setdefault(key, info.block) != info.block:
+            raise ValueError(f"{block_of[key]!r} and {info.block!r} claim one slot")
+    index = space.poset._index
+    image: list[int] = []
+    try:
+        for p in space.poset.points:
+            info = space.provenance[p]
+            target = block_of[info.kind, info.color, times_h[info.element]]
+            image.append(index[target + p[len(info.block):]])
+    except KeyError as exc:
+        raise ValueError(f"no image under element {h} for {exc}") from None
+    return tuple(image)
+
+
+_TRANSLATED = {
+    "cyclic:12": cyclic(12),
+    "cyclic:24": cyclic(24),
+    "cyclic:48": cyclic(48),
+    "symmetric:4": symmetric(4),
+    "dihedral:24": dihedral(24),
+    **{name: group_from_permutations(json.loads(gens)) for name, (gens, _) in CORPUS.items()},
+}
+
+
+@pytest.mark.parametrize("name", _TRANSLATED)
+def test_block_translation_matches_the_point_by_point_one(name):
+    """On the verify ladder, dihedral:24 and the acceptance corpus, the
+    translation by block ranges is the name-by-name one, for every h."""
+    space = build_realization(_TRANSLATED[name])
+    for h in range(space.group.order):
+        assert induced_translation(space, h) == _reference_translation(space, h), h
+
+
+def test_translation_reads_the_block_records(monkeypatch):
     space = build_realization(cyclic(3))
     points = space.poset.points
-    # a block whose points are not contiguous, and a block listing its
-    # local names in another order than its slot: the map follows names
-    split = make_poset(points[1:] + points[:1], space.poset.covers)
+    # names are labels: with two points of a block swapped in the poset and
+    # the same records, the map still goes by position within the blocks
     swapped = make_poset(points[1::-1] + points[2:], space.poset.covers)
-    for poset in (split, swapped):
-        moved = RealizationSpace(poset, space.provenance, space.group)
-        named = _named_translation(moved, 1)
-        image = induced_translation(moved, 1)
-        assert [poset.points[i] for i in image] == [named[p] for p in poset.points]
+    moved = RealizationSpace(swapped, space.blocks, space.group)
+    assert induced_translation(moved, 1) == induced_translation(space, 1)
+    vert_e, vert_x = space.blocks[:2]
+    # a vertex block that does not fit the one it is carried onto
+    wider = (replace(vert_e, size=9), replace(vert_x, start=9, size=7)) + space.blocks[2:]
+    with pytest.raises(ValueError, match="no image under element 1 for block 'vert\\[e\\]'"):
+        induced_translation(RealizationSpace(space.poset, wider, space.group), 1)
     # two vertex blocks claiming the same element
-    bad = {
-        p: replace(info, element="e") if info.block == "vert[x]" else info
-        for p, info in space.provenance.items()
-    }
+    bad = (vert_e, replace(vert_x, element=0)) + space.blocks[2:]
     bad_space = RealizationSpace(space.poset, bad, space.group)
     for h in range(3):
         with pytest.raises(ValueError, match="claim one slot"):
@@ -384,3 +426,34 @@ def test_translation_follows_names_not_layout(monkeypatch):
     monkeypatch.setattr(engine, "build_realization", lambda group: bad_space)
     report = verify_realization(space.group)
     assert report.generators_valid == 0 and not report.passed
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: (replace(b[0], size=0),) + b[1:], "empty block 'vert\\[e\\]'"),
+        (lambda b: b[:1] + (replace(b[1], start=9),) + b[2:],
+         "block 'vert\\[x\\]' starts at 9, not at 8"),
+        (lambda b: b[:-1], "cover exactly the assembled points"),
+        (lambda b: (replace(b[0], element=3),) + b[1:], "names no element"),
+        (lambda b: b[:3] + (replace(b[3], target=-1),) + b[4:], "names no element"),
+    ],
+    ids=["empty", "gap", "short", "element", "target"],
+)
+def test_block_records_must_tile_the_points(edit, message):
+    space = build_realization(cyclic(3))
+    with pytest.raises(ValueError, match=message):
+        RealizationSpace(space.poset, edit(space.blocks), space.group)
+
+
+def test_block_records_follow_the_assembled_points():
+    """One record per block, in the order ``assemble`` lists the points."""
+    space = build_realization(dihedral(6))
+    group = space.group
+    assert len(space.blocks) == group.order * (1 + 3 * len(group.generators))
+    for info in space.blocks:
+        block_points = space.poset.points[info.start:info.start + info.size]
+        assert all(p.startswith(info.block + "/") for p in block_points)
+    assert space.provenance == {
+        p: info for info in space.blocks for p in _block_points(space, info)
+    }

@@ -174,12 +174,32 @@ def _refine_relabelled(a, keys_a, pi):
 )
 def test_refinement_sequence_on_the_ladder(group, classes):
     """On the verify ladder the walk is complete at the root, so the left
-    path is the root alone: 4 rounds to the slot classes, pinned so that a
-    faster refinement cannot change them."""
+    path is the root alone: seeded by channel degrees, 3 rounds to the slot
+    classes (the all-equal seed of ``refine`` takes one more to reach the
+    degrees), pinned so that a faster refinement cannot change them."""
     d = hasse_digraph(build_realization(group).poset)
     [((_, cells), trace)] = engine._PairSearch(d, d).path
-    assert (len(trace), len(cells)) == (4, classes)
+    assert (len(trace), len(cells)) == (3, classes)
     assert len(set(refine(d).vertex_class.values())) == classes
+
+
+def _class_sets(cells: dict) -> set[frozenset[int]]:
+    return {frozenset(members) for members in cells.values()}
+
+
+@given(seeded_digraphs())
+def test_degree_seed_saves_the_first_round(case):
+    """Round 1 from one class splits by channel degrees, so the root seeded
+    by degrees reaches the same classes one trace entry sooner, unless that
+    round splits nothing (a digraph of equal degrees, one class either way)."""
+    d, _ = case
+    (_, cells), trace = engine._refine(d._incidence, [0] * len(d))
+    (_, seeded_cells), seeded_trace = engine._refine(d._incidence, d._degrees)
+    assert _class_sets(seeded_cells) == _class_sets(cells)
+    splits = len(trace) > 1 and bool(trace[1][0])
+    assert len(seeded_trace) == len(trace) - splits
+    (_, search_cells), _ = engine._PairSearch(d, d).path[0]
+    assert _class_sets(search_cells) == _class_sets(cells)
 
 
 def test_refine_matches_reference_over_many_rounds():
@@ -725,10 +745,9 @@ def test_found_automorphisms_preserve_block_families():
     space = build_realization(cyclic(3))
     d = hasse_digraph(space.poset)
     idx = {v: i for i, v in enumerate(d.vertices)}
-    block_sets = space.block_point_sets()
     family_of_set = {
-        frozenset(pts): space.provenance[next(iter(pts))].family
-        for pts in block_sets.values()
+        frozenset(space.poset.points[info.start:info.start + info.size]): info.family
+        for info in space.blocks
     }
     for g in automorphisms(d).generators:
         for pts, fam in family_of_set.items():
@@ -794,6 +813,19 @@ def test_certificate_checks_every_translation(monkeypatch, mutate):
     assert report.minimal and report.engine_order == 4 and not report.passed
 
 
+def test_verify_edge_tests_each_translation_once(monkeypatch):
+    """A passing verify runs the edge test once per t_s, in the engine's
+    check of its known maps, and tries no other map."""
+    calls = []
+    carries = engine._carries
+    monkeypatch.setattr(
+        engine, "_carries", lambda sigma, *rows: calls.append(sigma) or carries(sigma, *rows)
+    )
+    space = build_realization(cyclic(12))
+    assert verify_realization(space.group).passed
+    assert calls == [induced_translation(space, s) for s in space.group.generators]
+
+
 @pytest.mark.parametrize(
     "mutate", [_swap_two, _collapse_one], ids=["swapped-pair", "repeated-entry"]
 )
@@ -853,7 +885,7 @@ def test_certificate_rejects_translations_of_another_group(monkeypatch):
     v4 = FiniteGroup(c4.group.elements, full_table(v4), v4.identity, generators=(1, 2))
     monkeypatch.setattr(
         engine, "build_realization",
-        lambda group: RealizationSpace(c4.poset, c4.provenance, group),
+        lambda group: RealizationSpace(c4.poset, c4.blocks, group),
     )
     monkeypatch.setattr(
         engine, "induced_translation", lambda space, h: induced_translation(c4, h)
@@ -868,10 +900,10 @@ def test_certificate_needs_the_vertex_blocks(monkeypatch):
     """With the vertex blocks relabelled, each t_s is still an automorphism,
     but no vertex block ties it to G, so part 2 passes no generator."""
     space = build_realization(cyclic(4))
-    hidden = {
-        p: replace(info, kind="hidden") if info.kind == "vertex" else info
-        for p, info in space.provenance.items()
-    }
+    hidden = tuple(
+        replace(info, kind="hidden") if info.kind == "vertex" else info
+        for info in space.blocks
+    )
     monkeypatch.setattr(
         engine, "build_realization",
         lambda group: RealizationSpace(space.poset, hidden, group),
@@ -976,9 +1008,10 @@ def _orbit_count(maps, n: int) -> int:
 
 
 def test_verify_root_stops_at_the_translation_orbits(monkeypatch):
-    """Verify's root refinement ends once it has as many classes as the
-    certified translations have orbits: three trace entries, not the four
-    of a refinement run until a round splits nothing, with equal classes."""
+    """Verify's root refinement, seeded by channel degrees, ends once it has
+    as many classes as the certified translations have orbits: two trace
+    entries, not the three of a degree-seeded refinement run until a round
+    splits nothing, nor the four from one class, with equal classes."""
     roots, known = [], []
     refine_root, search = engine._refine, engine.automorphisms
     monkeypatch.setattr(
@@ -993,10 +1026,12 @@ def test_verify_root_stops_at_the_translation_orbits(monkeypatch):
         assert verify_realization(cyclic(m)).passed
         [((colors, cells), trace)] = roots
         [(d, maps)] = known
-        assert len(trace) == 3, m
+        assert len(trace) == 2, m
         assert len(cells) == _orbit_count(maps, len(d)) == 44
-        (full_colors, _), full_trace = refine_root(d._incidence, [0] * len(d))
-        assert (full_colors, full_trace[:3], len(full_trace)) == (colors, trace, 4)
+        (full_colors, _), full_trace = refine_root(d._incidence, d._degrees)
+        assert (full_colors, full_trace[:2], len(full_trace)) == (colors, trace, 3)
+        (_, plain_cells), plain_trace = refine_root(d._incidence, [0] * len(d))
+        assert (_class_sets(plain_cells), len(plain_trace)) == (_class_sets(cells), 4)
 
 
 def _without_stop(call):
