@@ -14,6 +14,7 @@ malformed JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,10 @@ def _cmd_family_check(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no
+    state in it, and each call of ``main`` parses into a new namespace."""
     parser = argparse.ArgumentParser(
         prog="finspace",
         description=(

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import full_table, random_colored_digraph, reference_refine, seeded_digraphs
+from test_acceptance import CORPUS
 from finspace import (
     FiniteGroup,
     RealizationSpace,
@@ -34,6 +36,7 @@ from finspace import (
     symmetric,
     verify_realization,
 )
+from finspace.cli import parse_group_spec
 
 # the engine submodule, for its private routines
 engine = importlib.import_module("finspace.engine")
@@ -668,7 +671,13 @@ def test_refinement_only_prunes(monkeypatch):
     """With every trace comparison passing, answers come from leaf checks."""
     engine = importlib.import_module("finspace.engine")
     unchecked = engine._settle
-    monkeypatch.setattr(engine, "_settle", lambda *args: unchecked(*args[:-1], None))
+    monkeypatch.setattr(
+        engine,
+        "_settle",
+        lambda inc, colors, cells, dirty, entry, stop, target, rep=None: unchecked(
+            inc, colors, cells, dirty, entry, stop, None, rep
+        ),
+    )
     rng = random.Random(271_828)
     for _ in range(40):
         a = random_colored_digraph(rng, max_vertices=6)
@@ -990,21 +999,26 @@ def test_verify_builds_no_name_or_triple_view(monkeypatch):
 # -- root refinement stopped at the known maps' orbits ------------------------
 
 
-def _orbit_count(maps, n: int) -> int:
-    """Orbits of the group the maps generate, by breadth-first closure."""
-    seen, count = [False] * n, 0
+def _orbit_reps(maps, n: int) -> list[int]:
+    """Each vertex's smallest orbit-mate under the group the maps generate,
+    by closure."""
+    rep = [-1] * n
     for v in range(n):
-        if not seen[v]:
-            count += 1
-            seen[v] = True
+        if rep[v] < 0:
+            rep[v] = v
             stack = [v]
             while stack:
                 x = stack.pop()
                 for sigma in maps:
-                    if not seen[sigma[x]]:
-                        seen[sigma[x]] = True
+                    if rep[sigma[x]] < 0:
+                        rep[sigma[x]] = v
                         stack.append(sigma[x])
-    return count
+    return rep
+
+
+def _orbit_count(maps, n: int) -> int:
+    """Orbits of the group the maps generate."""
+    return len(set(_orbit_reps(maps, n)))
 
 
 def test_verify_root_stops_at_the_translation_orbits(monkeypatch):
@@ -1038,8 +1052,9 @@ def _without_stop(call):
     """Run call with the root refinement going on until a round splits nothing."""
     refine_root = engine._refine
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_refine", lambda inc, keys, target=None, stop=None:
-                   refine_root(inc, keys, target))
+        mp.setattr(engine, "_refine",
+                   lambda inc, keys, target=None, stop=None, rep=None:
+                   refine_root(inc, keys, target, None, rep))
         return call()
 
 
@@ -1101,3 +1116,135 @@ def test_known_maps_must_keep_the_seed():
     with pytest.raises(ValueError, match="not an automorphism"):
         engine._PairSearch(TRIANGLE, TRIANGLE, seed, seed, [rotation])
     assert engine._PairSearch(TRIANGLE, TRIANGLE, seed, seed).automorphism_group().order == 1
+
+
+# -- work per orbit at the root, per class in the walk -------------------------
+
+
+def _check_root_per_orbit(d, seed, known):
+    """The root refined with one signature per orbit of the known maps is the
+    root refined by signing every vertex: the same colors, part lists and
+    trace, stopped at the orbit count or run to the end.  Stopped, it is the
+    run to the end cut short; either way its classes are the reference's."""
+    n = len(d.vertices)
+    keys = d._degrees if seed is None else [seed[v] for v in d.vertices]
+    rep = _orbit_reps(known, n)
+    inc = d._incidence
+    full_state, full_trace = engine._refine(inc, keys)
+    reference = reference_refine(d, seed)
+    classes = {frozenset(i for i, v in enumerate(d.vertices) if reference[v] == k)
+               for k in set(reference.values())}
+    for stop in (len(set(rep)), None):
+        per_vertex = engine._refine(inc, keys, None, stop)
+        assert engine._refine(inc, keys, None, stop, rep) == per_vertex
+        state, trace = per_vertex
+        assert (state, trace) == (full_state, full_trace[:len(trace)])
+        assert _class_sets(state[1]) == classes
+
+
+@given(st.one_of(seeded_digraphs(), circulant_unions()), st.data())
+def test_root_signs_one_vertex_per_orbit(drawn, data):
+    """Known maps drawn from the generators that a search without them
+    reports, as ``_check_known_subsets`` draws them, seeded or not."""
+    d, seed = drawn
+    for keys in (None, seed):
+        group = engine._PairSearch(d, d, keys, keys).automorphism_group()
+        known = [g for g in group.generators if data.draw(st.booleans())]
+        _check_root_per_orbit(d, keys, known)
+
+
+def test_root_signs_one_vertex_per_orbit_on_the_shrikhande_graph():
+    d = _shrikhande()
+    gens = automorphisms(d).generators
+    for bits in range(2 ** len(gens)):
+        _check_root_per_orbit(d, None, [g for i, g in enumerate(gens) if bits >> i & 1])
+
+
+def test_root_signing_does_not_grow_with_the_group(monkeypatch):
+    """Verify's root signs one vertex per translation orbit, 44 orbits on
+    every cyclic space: the signature entries it computes, counted as calls
+    of ``add``, are as many on cyclic:384 (16,896 points) as on cyclic:96."""
+    entries, add, refine_root = [0], engine.add, engine._refine
+
+    def counting_add(a, b):
+        entries[0] += 1
+        return a + b
+
+    def root(*args):
+        monkeypatch.setattr(engine, "add", counting_add)
+        try:
+            return refine_root(*args)
+        finally:
+            monkeypatch.setattr(engine, "add", add)
+
+    monkeypatch.setattr(engine, "_refine", root)
+    counts = []
+    for m in (96, 192, 384):
+        entries[0] = 0
+        assert verify_realization(cyclic(m)).passed
+        counts.append(entries[0])
+    assert counts == [390] * 3
+
+
+def _reference_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | None:
+    """The unique-neighbour walk as first written: one bucket dict, checked
+    for shared keys, per vertex expanded.  Kept as the reference for
+    ``engine._unique_walk``, which finds the shared keys once per class."""
+    order = [members[0] for members in cells.values() if len(members) == 1]
+    if v is not None:
+        order.append(v)
+    seen = bytearray(len(colors))
+    for u in order:
+        seen[u] = 1
+    tree = []
+    for x in order:
+        if all(map(seen.__getitem__, inc[0][x])):
+            continue
+        for key, u in engine._unique_neighbours(inc, colors, x).items():
+            if u >= 0 and not seen[u]:
+                seen[u] = 1
+                order.append(u)
+                tree.append((u, x, key))
+    return tree if len(order) == len(colors) else None
+
+
+def _check_walks(d, search, starts=None):
+    """On each state of the search's path the walk's tree is the reference's,
+    from the pivot, from no vertex and from each of ``starts`` (default:
+    every vertex), and it counts the keys of at most one member per class."""
+    inc = d._incidence
+    for depth, ((colors, cells), _) in enumerate(search.path):
+        pivot = search.base[depth] if depth < len(search.base) else None
+        for v in {pivot, None, *(range(len(colors)) if starts is None else starts)}:
+            counted = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "Counter",
+                           lambda keys: counted.append(1) or Counter(keys))
+                tree = engine._unique_walk(inc, colors, cells, v)
+            assert tree == _reference_walk(inc, colors, cells, v)
+            assert len(counted) <= len(cells)
+
+
+@given(st.one_of(seeded_digraphs(), circulant_unions()), st.data())
+def test_walk_matches_the_reference(drawn, data):
+    d, seed = drawn
+    for keys in (None, seed):
+        group = engine._PairSearch(d, d, keys, keys).automorphism_group()
+        known = [g for g in group.generators if data.draw(st.booleans())]
+        _check_walks(d, engine._PairSearch(d, d, keys, keys, known))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:12", "cyclic:24", "cyclic:48", "symmetric:4", "dihedral:24",
+     *(f"perm:{gens}" for gens, _ in CORPUS.values())],
+    ids=["cyclic:12", "cyclic:24", "cyclic:48", "symmetric:4", "dihedral:24", *CORPUS],
+)
+def test_walk_matches_the_reference_on_realization_spaces(spec):
+    """At verify's root, the translation orbits.  The walk expands more
+    vertices than there are classes, so shared keys sought per vertex
+    would be counted more often than the check allows."""
+    space = build_realization(parse_group_spec(spec))
+    d = hasse_digraph(space.poset)
+    search = engine._PairSearch(d, d, known=engine._check_generators(space))
+    _check_walks(d, search, range(0, len(d.vertices), 97))

@@ -408,3 +408,26 @@ def test_realization_sweep_script_passes():
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_repeated_calls_answer_as_a_first_call(capsys):
+    """One parser serves every ``main`` call in a process: each command
+    gives the exit code, stdout and stderr it gives from a fresh parser,
+    whatever ran before it."""
+    argvs = [
+        ["verify", "cyclic:3"],
+        ["build-space", "cyclic:3", "--format", "summary"],
+        ["verify", "cyclic:3", "--budget", "many"],
+        ["verify", "nosuch:3"],
+        ["--help"],
+        ["frobnicate"],
+    ]
+    first = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 2]
+    for _ in range(2):
+        for argv, answer in zip(argvs, first):
+            assert run(capsys, *argv) == answer, argv
+    assert cli._build_parser.cache_info().misses == 1
