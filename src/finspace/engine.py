@@ -39,11 +39,15 @@ is refined against the left path's trace, abandoning a branch at the
 first round that differs.  At the last depth the stabilizer of the base
 is trivial: with the pivot sent to a candidate w and each singleton to
 the right class of its name, the walk run on the right side (a pair walk)
-forces the only map that can extend the branch.  It is accepted only if
-it is injective, carries every edge and keeps the seed keys.  Injectivity
-is checked on its own because matching buckets do not imply it: a
-directed C6 walks onto two disjoint directed C3s with every bucket
-matched.
+forces the only map that can extend the branch.  It replays the left
+walk's tree under the same bucket keys, sending u, x's unique neighbour in
+bucket k, to the neighbour of x's image in bucket k, and does not check
+that this bucket has one member: an isomorphism extending the branch maps
+x's bucket onto it, so where it has more the map fails the test below.
+The map is accepted only if it is injective, carries every edge and keeps
+the seed keys.  Injectivity is checked on its own because matching
+buckets do not imply it: a directed C6 walks onto two disjoint directed
+C3s with every bucket matched.
 
 In automorphism mode the right digraph is the left one, so the left path
 is also the right root and the identity branch: alternatives tried at
@@ -313,19 +317,6 @@ def _carries(sigma: VertexPerm, out_a, out_b) -> bool:
     )
 
 
-def _unique_neighbours(inc, colors: list[int], x: int) -> dict[int, int]:
-    """x's neighbours by bucket, keyed ``offset + colors[u]`` as a signature
-    is: the one neighbour in each bucket, or -1 where a bucket has more."""
-    nbrs, offsets = inc
-    keys = list(map(add, offsets[x], map(colors.__getitem__, nbrs[x])))
-    unique = dict(zip(keys, nbrs[x]))
-    if len(unique) < len(keys):
-        for key, count in Counter(keys).items():
-            if count > 1:
-                unique[key] = -1
-    return unique
-
-
 def _unique_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | None:
     """Walk along unique neighbours under a partition (colors, cells) that
     every automorphism in question keeps, from v (if any) and from every
@@ -345,6 +336,8 @@ def _unique_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | N
     each member of a class has as many neighbours in each bucket, so the
     keys that two neighbours share are the same for the whole class, and
     they are found once per class, from the first member the walk expands.
+    The pair walk (``_PairSearch._leaf``) replays the tree on the other
+    side of an isomorphism search under the same keys.
     """
     nbrs, offsets = inc
     name = colors.__getitem__
@@ -455,9 +448,11 @@ class _PairSearch:
         """The only map that can extend a branch to the last depth: each
         left singleton class onto the right class of its name, the last
         pivot to w (None on a discrete last level), and the rest as the
-        walk's tree forces on the right side.  None where an image is
-        missing, shared or taken twice (buckets alone do not make it
-        injective), or where the map is no isomorphism."""
+        walk's tree forces on the right side under the walk's bucket keys
+        (where a right bucket has more members, no isomorphism extends the
+        branch and the map takes the last of them).  None where an image is
+        missing or taken twice (buckets alone do not make it injective), or
+        where the map is no isomorphism."""
         colors_b, cells_b = state_b
         image = [-1] * self.n
         used = bytearray(self.n)
@@ -471,12 +466,15 @@ class _PairSearch:
         if w is not None:  # w's class is the pivot's, which no singleton has
             image[self.base[-1]] = w
             used[w] = 1
-        last = unique = None
+        nbrs, offsets = self.inc_b
+        name = colors_b.__getitem__
+        last = bucket = None
         for u, x, key in self.tree:
             if x != last:
-                last, unique = x, _unique_neighbours(self.inc_b, colors_b, image[x])
-            y = unique.get(key, -1)
-            if y < 0 or used[y]:
+                last, row = x, nbrs[image[x]]
+                bucket = dict(zip(map(add, offsets[image[x]], map(name, row)), row))
+            y = bucket.get(key)
+            if y is None or used[y]:
                 return None
             used[y] = 1
             image[u] = y
@@ -487,9 +485,9 @@ class _PairSearch:
         if depth + 1 == len(self.path):
             return self._leaf(state_b, w)
         nxt = _split(self.inc_b, *state_b, w, self.path[depth + 1][1])
-        return None if nxt is None else self._find(depth + 1, nxt[0])
+        return None if nxt is None else self._extend(depth + 1, nxt[0])
 
-    def _find(self, depth: int, state_b: tuple) -> VertexPerm | None:
+    def _extend(self, depth: int, state_b: tuple) -> VertexPerm | None:
         if depth == len(self.base):  # a discrete last level: nothing to branch on
             return self._leaf(state_b, None)
         colors = self.path[depth][0][0]
@@ -514,7 +512,7 @@ class _PairSearch:
         if [c for c, _ in self.out_a] != [c for c, _ in self.out_b]:
             return None
         root = _refine(self.inc_b, self.keys_b, self.path[0][1])
-        return None if root is None else self._find(0, root[0])
+        return None if root is None else self._extend(0, root[0])
 
     # automorphism mode (requires a and b to be the same digraph)
 

@@ -8,6 +8,10 @@ multiplication, one directed edge (x, g_k * x) of color k per element x
 and generator g_k, so right translations x -> x * h act as
 color-preserving graph automorphisms; ``right_translation`` gives the one
 by any h, walking a word for h in the generators over their columns.
+One breadth-first walk over columns x -> x * g_k, ``_column_walk``, is
+the only way this module reaches elements from the identity: it finds
+those words, checks that a table's generators generate it, and grows the
+seed of Light's test.
 
 The constructors differ in why the rows and columns are a group's:
 
@@ -128,10 +132,10 @@ class FiniteGroup:
             raise ValueError("the identity is not allowed as a generator")
         if any(not (0 <= g < n) for g in self.generators):
             raise ValueError("generator index out of range")
-        if len(_closure(table, e, self.generators)) != n:
-            raise ValueError("generators do not generate the group")
         rows = tuple(tuple(table[g]) for g in self.generators)
         cols = tuple(tuple(map(itemgetter(g), table)) for g in self.generators)
+        if None in _column_walk(cols, e, n):
+            raise ValueError("generators do not generate the group")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 
@@ -154,11 +158,12 @@ class FiniteGroup:
         """True iff the table t (identity law already checked) is a group.
 
         The seed S is the given generators that are in range and not e,
-        extended by the smallest unreached element until ``_closure``
-        covers the table.  Each s in S, before the closure uses it, must
-        have a row that permutes range(n) and a column of in-range indices;
-        then Light's test (Clifford and Preston 1961, section 1.2) checks
-        (x*s)*y = x*(s*y) for all x, y, that is row(x*s) = row(x) o row(s).
+        extended by the smallest unreached element until ``_column_walk``
+        over the seeds' columns covers the table.  Each s in S, before the
+        walk uses it, must have a row that permutes range(n) and a column
+        of in-range indices; then Light's test (Clifford and Preston 1961,
+        section 1.2) checks (x*s)*y = x*(s*y) for all x, y, that is
+        row(x*s) = row(x) o row(s).
 
         Why that is exact: call a product ((s1*s2)*...)*sk of seeds
         left-associated, and e the empty one.  By induction on k, each such
@@ -166,9 +171,8 @@ class FiniteGroup:
         holds x*a = (x*b)*s, in range; and (x*a)*y = ((x*b)*s)*y =
         (x*b)*(s*y) = x*(b*(s*y)) = x*((b*s)*y) = x*(a*y), every step by
         Light's test for s or the claim for b, on in-range indices only.
-        So left-associated products are closed under product:
-        a*(c*s) = (a*c)*s.  The closure reaches every element as a word
-        s1*(s2*(...*sk)), hence as a left-associated product, so every row
+        The walk reaches each element as x*s with x reached before it, so
+        as a left-associated product, and it reaches them all: every row
         is a permutation and the table is associative.  A monoid whose
         rows are permutations has right inverses, so it is a group, and
         its columns are latin too.  Conversely a group passes every check.
@@ -179,16 +183,15 @@ class FiniteGroup:
         def valid(s: int) -> bool:
             return set(t[s]) == every and every.issuperset(map(itemgetter(s), t))
 
-        seed = tuple(g for g in self.generators if 0 <= g < n and g != self.identity)
+        e = self.identity
+        seed = [g for g in self.generators if 0 <= g < n and g != e]
         if not all(map(valid, seed)):
             return False
-        reached = _closure(t, self.identity, seed)
-        while len(reached) < n:
-            s = min(every - reached)
+        while None in (tree := _column_walk([[row[s] for row in t] for s in seed], e, n)):
+            s = tree.index(None)
             if not valid(s):
                 return False
-            seed += (s,)
-            reached = _closure(t, self.identity, seed)
+            seed.append(s)
         for s in seed:
             # row x -> (x*(s*y) for y); s is not e, so n >= 2 and rows are tuples
             times_s = itemgetter(*t[s])
@@ -203,36 +206,28 @@ class FiniteGroup:
 
     @cached_property
     def _tree(self) -> list:
-        """Per element y other than the identity, (x, k) with y = x * g_k
-        and x found before y: a breadth-first tree over the columns."""
-        tree: list = [None] * self.order
-        reached = [self.identity]
-        for x in reached:  # reached grows while read: a FIFO queue
-            for k, col in enumerate(self.cols):
-                y = col[x]
-                if tree[y] is None and y != self.identity:
-                    tree[y] = (x, k)
-                    reached.append(y)
-        return tree
+        """``_column_walk`` over the generators' columns."""
+        return _column_walk(self.cols, self.identity, self.order)
 
     def __repr__(self) -> str:
         gens = ", ".join(self.elements[g] for g in self.generators)
         return f"FiniteGroup(order={self.order}, generators=[{gens}])"
 
 
-def _closure(table, identity: int, seed) -> set[int]:
-    """The elements reached from the identity by left multiplication by
-    ``seed``, read off the table's rows."""
-    reached = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in seed:
-            y = table[g][x]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return reached
+def _column_walk(cols, identity: int, n: int) -> list:
+    """The breadth-first walk from the identity over columns x -> x * g_k,
+    one per ``cols[k]``: per element y, (x, k) with y = x * g_k and x
+    reached before y, () for the identity and None where y is not reached."""
+    tree: list = [None] * n
+    tree[identity] = ()
+    reached = [identity]
+    for x in reached:  # reached grows while read: a FIFO queue
+        for k, col in enumerate(cols):
+            y = col[x]
+            if tree[y] is None:
+                tree[y] = (x, k)
+                reached.append(y)
+    return tree
 
 
 def _check_order(order: int) -> None:

@@ -4,9 +4,10 @@ import random
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
+from operator import add
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import full_table, random_colored_digraph, reference_refine, seeded_digraphs
@@ -1186,6 +1187,20 @@ def test_root_signing_does_not_grow_with_the_group(monkeypatch):
     assert counts == [390] * 3
 
 
+def _unique_neighbours(inc, colors: list[int], x: int) -> dict[int, int]:
+    """x's neighbours by bucket, keyed ``offset + colors[u]`` as a signature
+    is: the one neighbour in each bucket, or -1 where a bucket has more.
+    The engine's first bucket routine, kept for the references below."""
+    nbrs, offsets = inc
+    keys = list(map(add, offsets[x], map(colors.__getitem__, nbrs[x])))
+    unique = dict(zip(keys, nbrs[x]))
+    if len(unique) < len(keys):
+        for key, count in Counter(keys).items():
+            if count > 1:
+                unique[key] = -1
+    return unique
+
+
 def _reference_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | None:
     """The unique-neighbour walk as first written: one bucket dict, checked
     for shared keys, per vertex expanded.  Kept as the reference for
@@ -1200,7 +1215,7 @@ def _reference_walk(inc, colors: list[int], cells: dict, v: int | None) -> list 
     for x in order:
         if all(map(seen.__getitem__, inc[0][x])):
             continue
-        for key, u in engine._unique_neighbours(inc, colors, x).items():
+        for key, u in _unique_neighbours(inc, colors, x).items():
             if u >= 0 and not seen[u]:
                 seen[u] = 1
                 order.append(u)
@@ -1248,3 +1263,141 @@ def test_walk_matches_the_reference_on_realization_spaces(spec):
     d = hasse_digraph(space.poset)
     search = engine._PairSearch(d, d, known=engine._check_generators(space))
     _check_walks(d, search, range(0, len(d.vertices), 97))
+
+
+# -- the pair walk against the leaf as first written ---------------------------
+
+
+def _reference_leaf(search, state_b: tuple, w: int | None):
+    """``_PairSearch._leaf`` as first written: each right bucket it reads
+    is checked for a second member, which refuses the branch."""
+    colors_b, cells_b = state_b
+    image = [-1] * search.n
+    used = bytearray(search.n)
+    for c, members in search.path[-1][0][1].items():
+        if len(members) == 1:
+            right = cells_b.get(c, ())
+            if len(right) != 1:
+                return None
+            image[members[0]] = right[0]
+            used[right[0]] = 1
+    if w is not None:
+        image[search.base[-1]] = w
+        used[w] = 1
+    last = unique = None
+    for u, x, key in search.tree:
+        if x != last:
+            last, unique = x, _unique_neighbours(search.inc_b, colors_b, image[x])
+        y = unique.get(key, -1)
+        if y < 0 or used[y]:
+            return None
+        used[y] = 1
+        image[u] = y
+    return search._accept(tuple(image))
+
+
+class _SplitSizes(tuple):
+    """A trace entry that matches any entry with the same split sizes."""
+
+    def __ne__(self, entry):
+        return self[0] != entry[0]
+
+
+def _with_checked_leaves(call, sizes_only: bool):
+    """Run call with every leaf checked against ``_reference_leaf``.  With
+    ``sizes_only`` the right side's trace is compared by round 0 and the
+    split sizes alone, not the signature hashes: class names and sizes
+    still agree on both sides, but class-to-class counts need not, so a
+    right bucket can hold more vertices than the left one.  (With no trace
+    check at all, a right side can lack the pivot's class.)"""
+    leaf, settle = engine._PairSearch._leaf, engine._settle
+    leaves = []
+
+    def checked(self, state_b, w):
+        sigma = leaf(self, state_b, w)
+        assert sigma == _reference_leaf(self, state_b, w)
+        leaves.append(sigma)
+        return sigma
+
+    def by_sizes(inc, colors, cells, dirty, entry, stop, target, rep=None):
+        if target is not None:
+            target = [target[0], *map(_SplitSizes, target[1:])]
+        return settle(inc, colors, cells, dirty, entry, stop, target, rep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._PairSearch, "_leaf", checked)
+        if sizes_only:
+            mp.setattr(engine, "_settle", by_sizes)
+        return call(), leaves
+
+
+def _circulant_union(m: int, k: int, steps: dict, names: list):
+    """k copies of Z_m with arcs i -> i + j of color c for each j: c in steps."""
+    arcs = {(b * m + i, b * m + (i + j) % m, c)
+            for b in range(k) for i in range(m) for j, c in steps.items()}
+    return make_digraph(names, [(names[s], names[t], c) for s, t, c in arcs])
+
+
+@st.composite
+def digraph_pairs(draw):
+    """(a, b, seed_a, seed_b) on equal vertex counts: a drawn digraph and a
+    relabelled copy, its seed relabelled or shuffled; or two unions of
+    circulants, k copies of Z_m and k' of Z_m' with km = k'm' and steps
+    drawn per side, each seeded by one value, which are often not
+    isomorphic."""
+    if draw(st.booleans()):
+        a, seed = draw(st.one_of(seeded_digraphs(max_vertices=7), circulant_unions()))
+        n = len(a.vertices)
+        pi = draw(st.permutations(range(n)))
+        names = [f"w{i}" for i in range(n)]
+        rename = {v: names[pi[i]] for i, v in enumerate(a.vertices)}
+        b = make_digraph(names, [(rename[s], rename[t], c) for s, t, c in a.edges])
+        values = [seed[v] for v in a.vertices]
+        if draw(st.booleans()):
+            values = draw(st.permutations(values))
+        return a, b, seed, {rename[v]: k for v, k in zip(a.vertices, values)}
+    n = draw(st.integers(2, 10))
+    names = [f"v{i}" for i in range(n)]
+    sides = []
+    for _ in range(2):
+        m = draw(st.sampled_from([m for m in range(2, n + 1) if n % m == 0]))
+        steps = draw(st.dictionaries(st.integers(1, m - 1), st.integers(1, 2), max_size=3))
+        sides.append(_circulant_union(m, n // m, steps, names))
+    seed = dict.fromkeys(names, 0)
+    return (*sides, seed, seed)
+
+
+_SIX = [f"v{i}" for i in range(6)]
+
+
+@given(digraph_pairs(), st.booleans())
+@example((_circulant_union(6, 1, {1: 1}, _SIX), _circulant_union(3, 2, {1: 1}, _SIX),
+          dict.fromkeys(_SIX, 0), dict.fromkeys(_SIX, 0)), False)
+def test_leaf_matches_the_reference(pair, sizes_only):
+    """Every leaf the search reaches, on both sides of an isomorphism
+    search, seeded and unseeded, and in automorphism mode, gives what the
+    leaf as first written gives.  The explicit example is the directed C6
+    against two directed C3s, whose walk matches every bucket but is not
+    injective."""
+    a, b, seed_a, seed_b = pair
+    for seeds in ((None, None), (seed_a, seed_b)):
+        _with_checked_leaves(lambda: isomorphism_between(a, b, *seeds), sizes_only)
+    _with_checked_leaves(lambda: automorphisms(a), sizes_only)
+
+
+def test_leaf_matches_the_reference_on_a_shared_right_bucket():
+    """A directed 4-cycle against the circulant with steps 1 and 2, both
+    seeded by one value: one class on each side, and with only the split
+    sizes compared the root passes.  The left walk from the pivot is
+    complete, and at every candidate w the right bucket of its out-arcs
+    holds two vertices where the left holds one."""
+    names = list("abcd")
+    a, b = (_circulant_union(4, 1, steps, names) for steps in ({1: 1}, {1: 1, 2: 1}))
+    seed = dict.fromkeys(names, 0)
+    mapping, leaves = _with_checked_leaves(lambda: isomorphism_between(a, b, seed, seed), True)
+    assert (mapping, leaves) == (None, [None] * 4)
+    search = engine._PairSearch(a, b, seed, seed)
+    (colors, _), _ = search.path[0]  # one class, named 0, on either side
+    _, x, key = search.tree[0]
+    assert x == search.base[0]
+    assert all(_unique_neighbours(b._incidence, colors, w)[key] == -1 for w in range(4))
