@@ -33,29 +33,30 @@ automorphism fixing the earlier base points keeps the depth's classes, so
 it fixes the singletons; fixing the pivot too, it maps the bucket of each
 x it fixes onto itself, so by induction it fixes all the walk reaches.
 The descent stops at the first depth whose walk reaches every vertex (at
-once on a discrete partition, which has no pivot); at any other depth it
-individualizes the pivot and refines one level down.  The right digraph
-is refined against the left path's trace, abandoning a branch at the
-first round that differs.  At the last depth the stabilizer of the base
-is trivial: with the pivot sent to a candidate w and each singleton to
-the right class of its name, the walk run on the right side (a pair walk)
-forces the only map that can extend the branch.  It replays the left
-walk's tree under the same bucket keys, sending u, x's unique neighbour in
-bucket k, to the neighbour of x's image in bucket k, and does not check
-that this bucket has one member: an isomorphism extending the branch maps
-x's bucket onto it, so where it has more the map fails the test below.
-The map is accepted only if it is injective, carries every edge and keeps
-the seed keys.  Injectivity is checked on its own because matching
-buckets do not imply it: a directed C6 walks onto two disjoint directed
-C3s with every bucket matched.
+once on a discrete partition, which has no pivot), or at a root cut short
+as below; at any other depth it individualizes the pivot and refines one
+level down.  The right digraph is refined against the left path's trace,
+abandoning a branch at the first round that differs.  At the last depth
+the stabilizer of the base is trivial: with the pivot sent to a candidate
+w and each singleton to the right class of its name, the walk run on the
+right side (a pair walk) forces the only map that can extend the branch.
+It replays the left walk's tree under the same bucket keys, sending u, x's
+unique neighbour in bucket k, to the neighbour of x's image in bucket k,
+and does not check that this bucket has one member: an isomorphism
+extending the branch maps x's bucket onto it, so where it has more the map
+fails the test below.  The map is accepted only if it is injective,
+carries every edge and keeps the seed keys.  Injectivity is checked on its
+own because matching buckets do not imply it: a directed C6 walks onto two
+disjoint directed C3s with every bucket matched.
 
 In automorphism mode the right digraph is the left one, so the left path
 is also the right root and the identity branch: alternatives tried at
 depth d, deepest first, yield generators fixing the first d base points;
 one union-find forest of their orbits prunes redundant branches, and the
 group order is the product of the base-point orbit sizes.  Automorphisms
-known beforehand (verify passes the certified translations t_s) join the
-forest before the root is refined, and prune depth 0's candidates; that no
+known beforehand (verify passes the certified translations t_s) start the
+forest before the root is refined, each vertex labelled by the smallest
+vertex of its orbit under them, and prune depth 0's candidates; that no
 further map exists, the upper bound, is still decided by the search alone.
 They also end the root refinement early.  Let H be the group the known
 maps generate and m the number of its orbits, the forest's trees.  Every
@@ -73,12 +74,19 @@ round signs one of them (``_settle``).  On a cyclic space that is 44
 vertices, whatever |G|.  The walk needs an equitable partition (every
 state it is handed is a stable refinement or that orbit partition), on
 which the bucket keys that two neighbours share are the same for every
-member of a class, so it finds them once per class.  Every map emitted
-by the search, and every known map, is checked by one edge test,
-``_carries``, on the digraphs' per-color rows (``ColoredDigraph.out``),
-and against the seed coloring, so refinement and the walk are pruning
-devices, never a source of truth.  The same edge test
-serves a factorial-time oracle over all vertex bijections, for
+member of a class, so it finds them once per class.  At a root whose
+classes are the known orbits (as many classes as trees), the walk from
+the pivot v stops once it has reached t(v) for each known map t and a
+member of every class: what the full walk reaches is then H-invariant and
+meets every H-orbit, so it is every vertex (``_unique_walk``).  The cut
+tree forces no map, and no leaf asks it to: v's class is v's orbit, so
+depth 0 prunes every candidate.  On a cyclic space's root the walk
+reaches 95 vertices from the pivot, whatever |G|, not all 44|G|.  Every
+map emitted by the search, and every known map, is checked by one edge
+test, ``_carries``, on the digraphs' per-color rows
+(``ColoredDigraph.out``), and against the seed coloring, so refinement
+and the walk are pruning devices, never a source of truth.  The same
+edge test serves a factorial-time oracle over all vertex bijections, for
 cross-validation on small graphs.  In verify, the check of the known maps
 is part 2's edge test: each t_s is edge-tested once.
 
@@ -97,7 +105,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import filterfalse, permutations
-from operator import add, eq, ne
+from operator import add, ne
 
 from .assembly import (
     RealizationSpace,
@@ -317,7 +325,9 @@ def _carries(sigma: VertexPerm, out_a, out_b) -> bool:
     )
 
 
-def _unique_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | None:
+def _unique_walk(
+    inc, colors: list[int], cells: dict, v: int | None, goal: list[int] | None = None
+) -> list | None:
     """Walk along unique neighbours under a partition (colors, cells) that
     every automorphism in question keeps, from v (if any) and from every
     vertex alone in its class.
@@ -338,6 +348,20 @@ def _unique_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | N
     they are found once per class, from the first member the walk expands.
     The pair walk (``_PairSearch._leaf``) replays the tree on the other
     side of an isomorphism search under the same keys.
+
+    ``goal``, if given, is t(v) for each t of a set K of automorphisms
+    whose orbits under H = <K> are exactly the classes; the walk then
+    returns its tree, cut short, once it has reached every goal vertex and
+    a member of every class.  Let R(v) be the set that the full walk from
+    v reaches, the closure of v and the singletons under "u is the unique
+    neighbour of x".  Each t keeps the classes, so it fixes the singletons
+    and maps buckets onto buckets of the same key: R(t(v)) = t(R(v)).  As
+    t(v) is in R(v), the closure R(t(v)) lies in R(v), so t(R(v)) = R(v),
+    and R(v) is H-invariant.  An H-invariant set that meets every H-orbit
+    is every vertex: the full walk would be complete, and the stabilizer
+    of v is trivial.  The cut tree does not force maps: a caller passing a
+    goal must prune every candidate image of v, as the known maps' forest
+    does at depth 0 (``_PairSearch``).
     """
     nbrs, offsets = inc
     name = colors.__getitem__
@@ -349,7 +373,16 @@ def _unique_walk(inc, colors: list[int], cells: dict, v: int | None) -> list | N
         seen[u] = 1
     shared: dict[int, set[int]] = {}  # class name -> keys of its buckets of 2+
     tree = []
+    if goal is not None:
+        goal, unmet, counted = set(goal), set(cells), 0
     for x in order:
+        if goal is not None:
+            for u in order[counted:]:
+                goal.discard(u)
+                unmet.discard(colors[u])
+            counted = len(order)
+            if not goal and not unmet:
+                return tree
         row = nbrs[x]
         if all(map(seen.__getitem__, row)):
             continue
@@ -378,19 +411,44 @@ def _join(parent: list[int], sigma: VertexPerm) -> None:
         parent[_find(parent, x)] = _find(parent, y)
 
 
+def _orbit_forest(maps: list[VertexPerm], n: int) -> tuple[list[int], int]:
+    """The orbits of the group the maps generate, as a flat union-find
+    forest (each vertex labelled by the smallest vertex of its orbit, which
+    is its own root) found in one pass over the maps' images, and their
+    count."""
+    forest = [-1] * n
+    trees = 0
+    for r in range(n):
+        if forest[r] < 0:
+            trees += 1
+            forest[r] = r
+            orbit = [r]
+            for x in orbit:
+                for sigma in maps:
+                    y = sigma[x]
+                    if forest[y] < 0:
+                        forest[y] = r
+                        orbit.append(y)
+    return forest, trees
+
+
 class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
     A side without a seed is seeded by its channel degrees.  The
     constructor checks the ``known`` automorphisms (automorphism mode
-    only), joins their orbits in a union-find forest, refines the left
-    root, signing one vertex per tree and stopping once it has as many
-    classes as the forest has trees, and descends from it.  ``path[d]``
-    is the left side's ((colors, cells), trace) after individualizing
-    ``base[:d]``, and ``base[d]`` is the pivot of ``path[d]``.  ``tree``
-    is the walk of the last depth, the first one complete; ``base`` ends
-    with that depth's pivot, or is one shorter than ``path`` when
-    ``path[-1]`` is discrete.  The right side
+    only), labels their orbits as a flat union-find forest, refines the
+    left root, signing one vertex per tree and stopping once it has as
+    many classes as the forest has trees, and descends from it.
+    ``path[d]`` is the left side's ((colors, cells), trace) after
+    individualizing ``base[:d]``, and ``base[d]`` is the pivot of
+    ``path[d]``.  ``tree`` is the walk of the last depth, the first one
+    complete; ``base`` ends with that depth's pivot, or is one shorter
+    than ``path`` when ``path[-1]`` is discrete.  Only a root that stopped
+    with ``len(cells) == trees`` gives its walk a goal, the pivot's images
+    under the known maps; its classes are then the trees, so the pivot's
+    class is its tree, depth 0 tries no candidate, and the tree, possibly
+    cut short at the goal, is never replayed by a leaf.  The right side
     is refined against the root's trace when an isomorphism is sought; in
     automorphism mode it is the left side, so ``path[d]`` serves both.
     """
@@ -410,20 +468,23 @@ class _PairSearch:
         self.seeded = seed_a is not None or seed_b is not None
         self.known = [tuple(sigma) for sigma in known]
         every = list(range(self.n))
-        self.forest = every[:]
         for sigma in self.known:
             if sorted(sigma) != every or self._accept(sigma) is None:
                 raise ValueError("a known map is not an automorphism of the digraph")
-            _join(self.forest, sigma)
-        trees = sum(map(eq, self.forest, every))
-        rep = [_find(self.forest, v) for v in every] if self.known else None
+        self.forest, trees, rep = every[:], self.n, None
+        if self.known:
+            self.forest, trees = _orbit_forest(self.known, self.n)
+            rep = self.forest
         self.base, self.path = [], [_refine(self.inc_a, self.keys_a, None, trees, rep)]
         while True:
             colors, cells = self.path[-1][0]
             v = self._pivot(colors, cells)
+            goal = None
             if v is not None:
                 self.base.append(v)
-            self.tree = _unique_walk(self.inc_a, colors, cells, v)
+                if len(self.path) == 1 and len(cells) == trees:  # classes = trees
+                    goal = [sigma[v] for sigma in self.known]
+            self.tree = _unique_walk(self.inc_a, colors, cells, v, goal)
             if self.tree is not None:
                 break
             self.path.append(_split(self.inc_a, colors, cells, v))
@@ -559,8 +620,10 @@ def automorphisms(d: ColoredDigraph, known=()) -> AutGroup:
     or below each branching depth (orbit-stabilizer).  ``known``
     automorphisms, each checked to be one (else ``ValueError``), are
     reported as generators, end the root refinement once it has as many
-    classes as they have orbits, and prune the depth-0 candidates in
-    their orbits; the search alone still decides that no other map exists.
+    classes as they have orbits, then end the root's walk once it has
+    reached their images of the pivot and every class, and prune the
+    depth-0 candidates in their orbits; the search alone still decides
+    that no other map exists.
     """
     return _PairSearch(d, d, known=known).automorphism_group()
 

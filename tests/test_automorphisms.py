@@ -7,7 +7,7 @@ from itertools import permutations
 from operator import add
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import full_table, random_colored_digraph, reference_refine, seeded_digraphs
@@ -669,16 +669,11 @@ def _brute_isomorphic(a, b, seed_a, seed_b) -> bool:
 
 
 def test_refinement_only_prunes(monkeypatch):
-    """With every trace comparison passing, answers come from leaf checks."""
-    engine = importlib.import_module("finspace.engine")
-    unchecked = engine._settle
-    monkeypatch.setattr(
-        engine,
-        "_settle",
-        lambda inc, colors, cells, dirty, entry, stop, target, rep=None: unchecked(
-            inc, colors, cells, dirty, entry, stop, None, rep
-        ),
-    )
+    """With the right side's trace compared by round 0 and the split sizes
+    alone, never by signatures, answers come from leaf checks.  The sizes
+    keep the left side's class names on the right, which the search reads;
+    with no trace check at all it can lack the pivot's class."""
+    monkeypatch.setattr(engine, "_settle", _by_split_sizes(engine._settle))
     rng = random.Random(271_828)
     for _ in range(40):
         a = random_colored_digraph(rng, max_vertices=6)
@@ -1187,6 +1182,137 @@ def test_root_signing_does_not_grow_with_the_group(monkeypatch):
     assert counts == [390] * 3
 
 
+# -- the root walk stopped at the goal ----------------------------------------
+
+
+def test_orbit_forest_is_flat():
+    """The known maps' orbits in one labelling pass: each vertex labelled by
+    the smallest vertex of its orbit, so every root is its own parent and
+    ``_find`` reads any label in one step; the second value counts them."""
+    for maps, n in [([], 4), ([(1, 2, 0, 3, 4)], 5), ([(1, 0, 2, 3), (0, 2, 3, 1)], 4),
+                    ([(3, 4, 5, 0, 1, 2)], 6)]:
+        forest, trees = engine._orbit_forest(maps, n)
+        assert forest == _orbit_reps(maps, n)
+        assert trees == _orbit_count(maps, n)
+        assert all(forest[r] == r for r in forest)
+
+
+def _named_digraph(n: int, arcs):
+    names = [f"v{i}" for i in range(n)]
+    return make_digraph(names, [(names[s], names[t], 1) for s, t in arcs])
+
+
+def test_the_walk_stops_only_once_the_known_images_of_the_pivot_are_reached():
+    """Three directed paths x_i -> y_i -> z_i, the known map cycling them:
+    the root's classes are the known orbits {x}, {y}, {z}, and the walk from
+    x0 meets all three but never reaches x1, so it must not stop."""
+    d = _named_digraph(9, [(3 * i, 3 * i + 1) for i in range(3)]
+                       + [(3 * i + 1, 3 * i + 2) for i in range(3)])
+    cycle = tuple((v + 3) % 9 for v in range(9))
+    assert automorphisms(d, [cycle]).order == brute_force_automorphisms(d).order == 6
+
+
+def test_the_walk_stops_only_once_every_class_is_met():
+    """A directed 3-cycle a0 -> a1 -> a2 -> a0 and isolated b0, b1, b2, the
+    known map (a0 a1 a2)(b0 b1 b2): the walk from a0 reaches a1 = t(a0) but
+    no b, so it must not stop."""
+    d = _named_digraph(6, [(0, 1), (1, 2), (2, 0)])
+    assert automorphisms(d, [(1, 2, 0, 4, 5, 3)]).order == 18
+
+
+def test_the_walk_gets_no_goal_at_a_root_coarser_than_the_known_orbits():
+    """Two directed 3-cycles, the known map turning one of them: the root
+    has one class, fewer than the four known orbits, so a walk from c0_0
+    that reaches c0_1 meets every class and still proves nothing."""
+    d = _directed_cycles(3, 3)
+    search = engine._PairSearch(d, d, known=[(1, 2, 0, 3, 4, 5)])
+    assert len(search.path[0][0][1]) == 1
+    assert search.automorphism_group().order == 18
+
+
+def test_the_walk_gets_no_goal_below_the_root():
+    """Four isolated vertices, the known map swapping v0 and v1: two levels
+    down, {v0}, {v1}, {v2, v3} has as many classes as the known orbits but
+    is not their partition, so the walk from v2 there gets no goal."""
+    d = _named_digraph(4, [])
+    group = automorphisms(d, [(1, 0, 2, 3)])
+    assert group.order == 24
+    assert set(group.generators) <= set(brute_force_automorphisms(d).generators)
+
+
+def _walks_cut_short(monkeypatch) -> list:
+    """Each walk given a goal, as (cut tree, full tree), checking the lemma:
+    where the cut walk stops, the full walk is complete and begins alike."""
+    walks, walk = [], engine._unique_walk
+
+    def checked(inc, colors, cells, v, goal=None):
+        tree = walk(inc, colors, cells, v, goal)
+        if goal is not None:
+            full = walk(inc, colors, cells, v)
+            if tree is not None:
+                assert full is not None and full[:len(tree)] == tree
+            walks.append((tree, full))
+        return tree
+
+    monkeypatch.setattr(engine, "_unique_walk", checked)
+    return walks
+
+
+def test_the_cut_walk_gives_the_oracle_order(monkeypatch):
+    """Digraphs from ``circulant_unions``, with one to three of the oracle's
+    generators as known maps: the order is the oracle's, and in some draws
+    the walk is indeed cut short (15 of 200 with this fixed sequence of
+    draws; about 3 in 100 random ones).  The draws are derandomized so
+    that the count is the same in every run."""
+    walks = _walks_cut_short(monkeypatch)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(circulant_unions(max_vertices=8), st.data())
+    def check(drawn, data):
+        d, _ = drawn
+        oracle = brute_force_automorphisms(d)
+        known = data.draw(st.lists(st.sampled_from(oracle.generators), min_size=1, max_size=3)
+                          if oracle.generators else st.just([]))
+        assert automorphisms(d, known).order == oracle.order
+
+    check()
+    assert sum(tree is not None and tree != full for tree, full in walks) > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:12", "cyclic:24", "cyclic:48", "cyclic:96", "symmetric:4", "dihedral:24",
+     *(f"perm:{gens}" for gens, _ in CORPUS.values())],
+    ids=["cyclic:12", "cyclic:24", "cyclic:48", "cyclic:96", "symmetric:4", "dihedral:24",
+         *CORPUS],
+)
+def test_the_cut_walk_gives_the_group_of_the_full_walk(spec):
+    """Verify's engine, with the walk cut at the goal, gives the group that
+    the walk run to the end gives."""
+    space = build_realization(parse_group_spec(spec))
+    d = hasse_digraph(space.poset)
+    known = engine._check_generators(space)
+    walk = engine._unique_walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_unique_walk",
+                   lambda inc, colors, cells, v, goal=None: walk(inc, colors, cells, v))
+        full = automorphisms(d, known)
+    assert automorphisms(d, known) == full
+    assert full.order == space.group.order
+
+
+def test_the_root_walk_does_not_grow_with_the_group(monkeypatch):
+    """Verify's root walk stops once it has reached the pivot's image under
+    the one translation and a member of each of the 44 orbits: its tree has
+    95 entries on cyclic:96 (4,224 points), cyclic:192 and cyclic:384."""
+    walks = _walks_cut_short(monkeypatch)
+    for m in (96, 192, 384):
+        walks.clear()
+        assert verify_realization(cyclic(m)).passed
+        [(tree, full)] = walks
+        assert (len(tree), full is not None) == (95, True), m
+
+
 def _unique_neighbours(inc, colors: list[int], x: int) -> dict[int, int]:
     """x's neighbours by bucket, keyed ``offset + colors[u]`` as a signature
     is: the one neighbour in each bucket, or -1 where a bucket has more.
@@ -1303,6 +1429,17 @@ class _SplitSizes(tuple):
         return self[0] != entry[0]
 
 
+def _by_split_sizes(settle):
+    """``_settle`` with a target trace compared by round 0 and the split
+    sizes of each later round."""
+    def by_sizes(inc, colors, cells, dirty, entry, stop, target, rep=None):
+        if target is not None:
+            target = [target[0], *map(_SplitSizes, target[1:])]
+        return settle(inc, colors, cells, dirty, entry, stop, target, rep)
+
+    return by_sizes
+
+
 def _with_checked_leaves(call, sizes_only: bool):
     """Run call with every leaf checked against ``_reference_leaf``.  With
     ``sizes_only`` the right side's trace is compared by round 0 and the
@@ -1310,7 +1447,7 @@ def _with_checked_leaves(call, sizes_only: bool):
     still agree on both sides, but class-to-class counts need not, so a
     right bucket can hold more vertices than the left one.  (With no trace
     check at all, a right side can lack the pivot's class.)"""
-    leaf, settle = engine._PairSearch._leaf, engine._settle
+    leaf = engine._PairSearch._leaf
     leaves = []
 
     def checked(self, state_b, w):
@@ -1319,15 +1456,10 @@ def _with_checked_leaves(call, sizes_only: bool):
         leaves.append(sigma)
         return sigma
 
-    def by_sizes(inc, colors, cells, dirty, entry, stop, target, rep=None):
-        if target is not None:
-            target = [target[0], *map(_SplitSizes, target[1:])]
-        return settle(inc, colors, cells, dirty, entry, stop, target, rep)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._PairSearch, "_leaf", checked)
         if sizes_only:
-            mp.setattr(engine, "_settle", by_sizes)
+            mp.setattr(engine, "_settle", _by_split_sizes(engine._settle))
         return call(), leaves
 
 
