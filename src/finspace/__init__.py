@@ -50,13 +50,8 @@ from .groups import (
     symmetric,
 )
 from .poset import (
-    BeatReport,
     Poset,
-    beat_points,
-    core,
-    hasse_degree,
     is_minimal,
-    level_of,
     make_poset,
     poset_from_json,
     poset_to_dot,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .blocks import asymmetric_block
@@ -153,15 +152,6 @@ class RealizationSpace:
             at += info.size
         if at != len(self.poset.points):
             raise ValueError("the blocks must cover exactly the assembled points")
-
-    @cached_property
-    def provenance(self) -> dict[str, BlockInfo]:
-        """Each point's block record, by point name: a view for callers
-        that look points up by name."""
-        points = self.poset.points
-        return {
-            x: info for info in self.blocks for x in points[info.start:info.start + info.size]
-        }
 
     def block_inventory(self) -> dict[int, int]:
         """Count of blocks per family index."""

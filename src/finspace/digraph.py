@@ -189,13 +189,6 @@ def strip_colors(d: ColoredDigraph) -> ColoredDigraph:
     return ColoredDigraph._from_checked(d.vertices, ((1, rows),))
 
 
-def digraph_to_json_dict(d: ColoredDigraph) -> dict:
-    return {
-        "vertices": list(d.vertices),
-        "edges": [[s, t, c] for s, t, c in sorted(d.edges)],
-    }
-
-
 def digraph_from_json_dict(data: dict) -> ColoredDigraph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError(
@@ -261,7 +254,8 @@ def _sorted_arcs(d: ColoredDigraph) -> list[tuple[int, int, int]]:
 
 
 def digraph_to_json(d: ColoredDigraph) -> str:
-    """``json.dumps(digraph_to_json_dict(d), indent=2)``, written from the arcs."""
+    """``{"vertices": [...], "edges": [[s, t, c], ...]}`` as ``json.dumps(...,
+    indent=2)`` writes it, edges sorted; written from the arcs."""
     names = list(map(_json_str, d.vertices))
     cells = [x for s, t, c in _sorted_arcs(d) for x in (names[s], names[t], str(c))]
     return _json_text("vertices", names, "edges", cells, 3)

@@ -5,10 +5,10 @@ finite poset is stored here as its Hasse diagram: the point names plus,
 per point, the indices of its upper covers.  Names are labels, for I/O and
 for ``make_poset``, which takes covers by name.  The one order structure
 kept is each point's level, from one topological walk; the covering check
-and point deletion walk upward from a few points, no higher than a level
-bound, and on a graded poset the check walks nowhere.  ``Poset(...)``
-validates every input; ``assembly.assemble``, which certifies its output
-on the block quotient, enters through the private ``Poset._from_checked``.
+walks upward from a few points, no higher than a level bound, and on a
+graded poset it walks nowhere.  ``Poset(...)`` validates every input;
+``assembly.assemble``, which certifies its output on the block quotient,
+enters through the private ``Poset._from_checked``.
 All values are immutable; every operation below is a pure function, so
 posets can be shared freely across threads.  Poset isomorphism is a
 digraph search and lives with the search, in ``engine``.
@@ -88,10 +88,6 @@ class Poset:
     # -- cached structure ------------------------------------------------
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
     def covers(self) -> frozenset[Cover]:
         """Covering pairs (x, y), x covered by y, by name."""
         pts = self.points
@@ -145,14 +141,6 @@ class Poset:
         return f"Poset({len(self.points)} points, {sum(map(len, self.up))} covers)"
 
 
-@dataclass(frozen=True)
-class BeatReport:
-    """Points with a unique upper cover (up beats) or lower cover (down beats)."""
-
-    up_beats: frozenset[str]
-    down_beats: frozenset[str]
-
-
 def make_poset(points, covers) -> Poset:
     """Build a validated Poset from point names and name pairs (x, y), x
     covered by y."""
@@ -166,36 +154,6 @@ def make_poset(points, covers) -> Poset:
     return Poset(points, tuple(tuple(sorted(ys)) for ys in up))
 
 
-def _require(p: Poset, x: str) -> int:
-    idx = p._index.get(x)
-    if idx is None:
-        raise KeyError(f"no such point: {x!r}")
-    return idx
-
-
-def level_of(p: Poset, x: str) -> int:
-    """Length of the longest chain ending at x; minimal points have level 1."""
-    return p._levels[_require(p, x)]
-
-
-def hasse_degree(p: Poset, x: str) -> int:
-    """Number of covering pairs incident to x, counting both directions."""
-    i = _require(p, x)
-    return len(p.up[i]) + len(p._down[i])
-
-
-def beat_points(p: Poset) -> BeatReport:
-    """Classify points by cover counts.
-
-    A point with exactly one upper cover is an up beat; one lower cover, a
-    down beat.  For a poset this coincides with the order-theoretic
-    condition that the strict up-set (down-set) has a minimum (maximum).
-    """
-    up = frozenset(x for i, x in enumerate(p.points) if len(p.up[i]) == 1)
-    down = frozenset(x for i, x in enumerate(p.points) if len(p._down[i]) == 1)
-    return BeatReport(up_beats=up, down_beats=down)
-
-
 def is_minimal(p: Poset) -> bool:
     """True iff the poset has no beat points of either kind: no point has
     exactly one upper or exactly one lower cover.  Reads the row lengths
@@ -203,52 +161,7 @@ def is_minimal(p: Poset) -> bool:
     return 1 not in map(len, p.up) and 1 not in map(len, p._down)
 
 
-def _delete_point(p: Poset, x: str) -> Poset:
-    """Remove x, keeping the order induced on the remaining points."""
-    gone = _require(p, x)
-    ups = p.up[gone]
-    top = max(map(p._levels.__getitem__, ups), default=0)
-    # Only a lower cover w of x gains covers: each upper cover of x that no
-    # other upper cover of w lies below (x covers w, so no chain passes x).
-    up = list(p.up)
-    for w in p._down[gone]:
-        rest = [u for u in up[w] if u != gone]
-        above = p._above(rest, top)
-        up[w] = sorted(rest + [y for y in ups if y not in above])
-    del up[gone]
-    return Poset(
-        p.points[:gone] + p.points[gone + 1:],
-        tuple(tuple(j - (j > gone) for j in ys) for ys in up),
-    )
-
-
-def core(p: Poset) -> Poset:
-    """Strip beat points one at a time until none remain.
-
-    Removing a beat point keeps the induced order on the remaining points
-    (relations through the removed point are preserved), so the result is
-    homotopy equivalent to the input and satisfies ``is_minimal``.  The
-    beat point earliest in ``points`` order is removed at each step, which
-    makes the output deterministic.
-    """
-    current = p
-    while True:
-        report = beat_points(current)
-        beats = report.up_beats | report.down_beats
-        if not beats:
-            return current
-        victim = next(x for x in current.points if x in beats)
-        current = _delete_point(current, victim)
-
-
 # -- serialization -----------------------------------------------------
-
-
-def poset_to_json_dict(p: Poset) -> dict:
-    return {
-        "points": list(p.points),
-        "covers": [list(c) for c in sorted(p.covers)],
-    }
 
 
 def poset_from_json_dict(data: dict) -> Poset:
@@ -276,8 +189,8 @@ def _sorted_covers(p: Poset) -> tuple[list[int], list[list[int]]]:
 
 
 def poset_to_json(p: Poset) -> str:
-    """``json.dumps(poset_to_json_dict(p), indent=2)``, written from the
-    upper covers."""
+    """``{"points": [...], "covers": [[x, y], ...]}`` as ``json.dumps(...,
+    indent=2)`` writes it, covers sorted; written from the upper covers."""
     names = list(map(_json_str, p.points))
     order, rows = _sorted_covers(p)
     cells = [""] * (2 * sum(map(len, rows)))

@@ -17,6 +17,10 @@ test), kept as the reference for the generating-set certificate of
 ``FiniteGroup``.  ``full_table`` and ``element_order`` read a group's
 whole table, or an element's order, off its right translations, for the
 tests that want them: groups keep only their generators' rows and columns.
+``level_of`` and ``hasse_degree`` read a point's level and degree off the
+named covers, independently of the poset's own level walk and cover rows.
+``poset_to_json_dict`` and ``digraph_to_json_dict`` are the JSON objects
+that the one-pass text writers must dump exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from finspace import (
     ColoredDigraph,
     Poset,
     induced_translation,
-    level_of,
     make_digraph,
     make_poset,
     right_translation,
@@ -165,11 +168,50 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def level_of(p: Poset) -> dict[str, int]:
+    """Each point's level, by name: the number of points on the longest
+    chain of covers that ends at it, so minimal points have level 1.
+    Found from ``p.covers`` alone, down the lower covers."""
+    below: dict[str, list[str]] = {x: [] for x in p.points}
+    for x, y in p.covers:
+        below[y].append(x)
+    levels: dict[str, int] = {}
+
+    def level(x: str) -> int:
+        if x not in levels:
+            levels[x] = 1 + max(map(level, below[x]), default=0)
+        return levels[x]
+
+    for x in p.points:
+        level(x)
+    return levels
+
+
+def hasse_degree(p: Poset, x: str) -> int:
+    """Number of covering pairs with x at either end, counted by name."""
+    return sum(x in pair for pair in p.covers)
+
+
+def poset_to_json_dict(p: Poset) -> dict:
+    return {
+        "points": list(p.points),
+        "covers": [list(c) for c in sorted(p.covers)],
+    }
+
+
+def digraph_to_json_dict(d: ColoredDigraph) -> dict:
+    return {
+        "vertices": list(d.vertices),
+        "edges": [[s, t, c] for s, t, c in sorted(d.edges)],
+    }
+
+
 def reference_poset_dot(p: Poset, name: str = "poset") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=point];"]
+    levels = level_of(p)
     by_level: dict[int, list[str]] = {}
     for x in p.points:
-        by_level.setdefault(level_of(p, x), []).append(x)
+        by_level.setdefault(levels[x], []).append(x)
     for lvl in sorted(by_level):
         row = " ".join(f"{_dot_quote(x)};" for x in by_level[lvl])
         lines.append(f"  {{ rank=same; {row} }}")
@@ -239,7 +281,8 @@ def check_all_translations(space) -> None:
     the table: t_{g*h} is t_g followed by t_h.  |G|^2 * n, small groups only."""
     group = space.group
     x = space.poset
-    covers = {(x._index[a], x._index[b]) for a, b in x.covers}
+    index = {a: i for i, a in enumerate(x.points)}
+    covers = {(index[a], index[b]) for a, b in x.covers}
     maps = [induced_translation(space, h) for h in range(group.order)]
     for t in maps:
         assert sorted(t) == list(range(len(x.points)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import closure_from_pairs, covers_from_closure, full_table, random_poset
+from conftest import closure_from_pairs, covers_from_closure, full_table, level_of, random_poset
 from test_acceptance import CORPUS
 from finspace import (
     Poset,
@@ -21,7 +21,6 @@ from finspace import (
     induced_translation,
     isomorphic,
     is_minimal,
-    level_of,
     make_poset,
     predicted_point_count,
     right_translation,
@@ -53,7 +52,8 @@ def test_assemble_two_blocks_complete_bipartite():
     }
     assert len(crossings) == 16  # 4 top points x 4 bottom points
     block = asymmetric_block(0)
-    at = {lvl: {p for p in block.points if level_of(block, p) == lvl} for lvl in (1, 2)}
+    levels = level_of(block)
+    at = {lvl: {p for p in block.points if levels[p] == lvl} for lvl in (1, 2)}
     assert {x for x, _ in crossings} == {f"lo/{p}" for p in at[2]}
     assert {y for _, y in crossings} == {f"hi/{p}" for p in at[1]}
 
@@ -243,21 +243,20 @@ def test_realization_is_minimal():
 
 def test_exactly_four_levels_split_by_story():
     space = build_realization(cyclic(3))
-    levels = {x: level_of(space.poset, x) for x in space.poset.points}
+    levels = level_of(space.poset)
+    assert space.poset._levels == tuple(map(levels.__getitem__, space.poset.points))
     assert set(levels.values()) == {1, 2, 3, 4}
-    for point, lvl in levels.items():
-        kind = space.provenance[point].kind
-        if kind in ("vertex", "edge"):
-            assert lvl in (1, 2)
-        else:
-            assert lvl in (3, 4)
+    for info in space.blocks:
+        story = {1, 2} if info.kind in ("vertex", "edge") else {3, 4}
+        assert {levels[x] for x in _block_points(space, info)} <= story
 
 
 def test_provenance_total_and_consistent():
     space = build_realization(cyclic(2))
-    assert set(space.provenance) == set(space.poset.points)
-    for point, info in space.provenance.items():
-        assert point.startswith(info.block + "/")
+    named = [x for info in space.blocks for x in _block_points(space, info)]
+    assert sorted(named) == sorted(space.poset.points)
+    for info in space.blocks:
+        assert all(x.startswith(info.block + "/") for x in _block_points(space, info))
 
 
 def _components(points, covers):
@@ -289,7 +288,7 @@ def _block_points(space, info) -> frozenset[str]:
 
 def test_story_components_are_exactly_the_blocks():
     space = build_realization(dihedral(6))
-    levels = {x: level_of(space.poset, x) for x in space.poset.points}
+    levels = level_of(space.poset)
     lower = {x for x, l in levels.items() if l <= 2}
     upper = {x for x, l in levels.items() if l >= 3}
     lower_blocks = {
@@ -309,12 +308,13 @@ def test_story_components_are_exactly_the_blocks():
 def test_second_story_blocks_attach_to_one_vertex_and_one_edge_block():
     space = build_realization(dihedral(6))
     by_name = {info.block: info for info in space.blocks}
+    block_of = {x: info.block for info in space.blocks for x in _block_points(space, info)}
     for info in space.blocks:
         if info.kind not in ("start", "end"):
             continue
         pts = _block_points(space, info)
         feeders = {
-            space.provenance[x].block
+            block_of[x]
             for x, y in space.poset.covers
             if y in pts and x not in pts
         }
@@ -345,10 +345,11 @@ def _named_translation(space, h):
     table = full_table(group)
     prefix = {"vertex": "vert", "edge": "edge", "start": "src", "end": "dst"}
     out = {}
-    for point, info in space.provenance.items():
+    for info in space.blocks:
         image = group.elements[table[info.element][h]]
         colour = "" if info.color is None else info.color
-        out[point] = f"{prefix[info.kind]}{colour}[{image}]{point[len(info.block):]}"
+        for point in _block_points(space, info):
+            out[point] = f"{prefix[info.kind]}{colour}[{image}]{point[len(info.block):]}"
     return out
 
 
@@ -365,20 +366,22 @@ def test_induced_translation_matches_block_names(group):
 def _reference_translation(space, h):
     """The point-by-point translation: each point's image looked up by name,
     the target block's name plus the point's local name, in the poset's
-    name index."""
+    name index.  The records tile the points in order, so the points are
+    read block by block."""
     times_h = right_translation(space.group, h)
     block_of: dict[tuple, str] = {}
-    for info in space.provenance.values():
+    for info in space.blocks:
         key = (info.kind, info.color, info.element)
         if block_of.setdefault(key, info.block) != info.block:
             raise ValueError(f"{block_of[key]!r} and {info.block!r} claim one slot")
-    index = space.poset._index
+    points = space.poset.points
+    index = {p: i for i, p in enumerate(points)}
     image: list[int] = []
     try:
-        for p in space.poset.points:
-            info = space.provenance[p]
+        for info in space.blocks:
             target = block_of[info.kind, info.color, times_h[info.element]]
-            image.append(index[target + p[len(info.block):]])
+            for p in points[info.start:info.start + info.size]:
+                image.append(index[target + p[len(info.block):]])
     except KeyError as exc:
         raise ValueError(f"no image under element {h} for {exc}") from None
     return tuple(image)
@@ -454,6 +457,3 @@ def test_block_records_follow_the_assembled_points():
     for info in space.blocks:
         block_points = space.poset.points[info.start:info.start + info.size]
         assert all(p.startswith(info.block + "/") for p in block_points)
-    assert space.provenance == {
-        p: info for info in space.blocks for p in _block_points(space, info)
-    }

@@ -1,11 +1,11 @@
 import pytest
 
+from conftest import hasse_degree
 from finspace import (
     asymmetric_block,
     automorphisms,
     block_edge_count,
     family_checks,
-    hasse_degree,
     hasse_digraph,
     is_minimal,
     isomorphic,

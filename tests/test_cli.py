@@ -378,6 +378,12 @@ STDOUT_SHA256 = {
         "516757d3dbfe2a351a3bb7bcc549619360a55127d29a888e1c5a91e58c733d22",
     "build-fk 3 --format dot":
         "3d86e5429100e78f1e7fab0c6c850447cdbe8e8431772aea2c3466fb1afd1ae3",
+    "build-fk 0 --format summary":
+        "c63ab66d40c2b6442cf7625a006c137b9705c86ce9f09a32602b6e5a788fe323",
+    "build-fk 3 --format summary":
+        "497ca0c82b2353d55c846287d5fd93902e31ae3b37500f19fcdbc284796eee8b",
+    "build-fk 6 --format summary":
+        "2cc14515c62fe1637ba6f7e1945c352661c2a36251085e7536856bd942af6cfc",
     "verify cyclic:12":
         "eeec9ff279a6d30cf8a20f0cf5c746d2cfd9b39d73e01810cebdea335746fbbb",
     "family-check 4":

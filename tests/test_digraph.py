@@ -6,7 +6,8 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given
 
-from conftest import named_digraphs, posets, reference_digraph_dot, seeded_digraphs
+from conftest import digraph_to_json_dict, named_digraphs, posets, reference_digraph_dot
+from conftest import seeded_digraphs
 from finspace import (
     ColoredDigraph,
     build_realization,
@@ -20,7 +21,6 @@ from finspace import (
     strip_colors,
     symmetric,
 )
-from finspace.digraph import digraph_to_json_dict
 
 digraph_module = importlib.import_module("finspace.digraph")
 

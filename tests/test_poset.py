@@ -6,25 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_from_pairs, covers_from_closure
-from conftest import named_posets, posets, random_poset, reference_poset_dot
+import finspace.cli as cli
+from conftest import closure_from_pairs, covers_from_closure, hasse_degree, level_of
+from conftest import named_posets, poset_to_json_dict, posets, reference_poset_dot
 from finspace import (
     Poset,
     asymmetric_block,
-    beat_points,
     build_realization,
-    core,
     cyclic,
-    hasse_degree,
     is_minimal,
     isomorphic,
-    level_of,
     make_poset,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
 )
-from finspace.poset import _delete_point, poset_to_json_dict
 
 CHAIN3 = make_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 VEE = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -104,7 +100,7 @@ def test_accepts_poset_that_is_not_graded():
     covers = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"), ("e", "d")]
     p = make_poset(["a", "b", "c", "d", "e"], covers)
     assert p.covers == set(covers)
-    assert [level_of(p, x) for x in p.points] == [1, 2, 3, 4, 2]
+    assert p._levels == tuple(map(level_of(p).__getitem__, p.points)) == (1, 2, 3, 4, 2)
 
 
 @st.composite
@@ -146,7 +142,8 @@ def test_make_poset_checks_the_covering_pairs_at_300_points():
             p = make_poset(points, named)
             assert p.covers == set(named)
             # some cover skips a level, so the check walks
-            assert any(level_of(p, y) > level_of(p, x) + 1 for x, y in named)
+            levels = level_of(p)
+            assert any(levels[y] > levels[x] + 1 for x, y in named)
         else:
             with pytest.raises(ValueError, match="not a covering pair"):
                 make_poset(points, named)
@@ -170,53 +167,49 @@ def test_construction_memory_grows_linearly():
 
 
 def test_empty_poset_is_valid_minimal_and_its_own_core():
+    # with no beat point to strip, a poset is its own core
     assert is_minimal(EMPTY)
-    assert core(EMPTY) == EMPTY
+    assert _order_theoretic_beats(EMPTY) == (set(), set())
 
 
-# -- level_of ------------------------------------------------------------
+# -- levels ----------------------------------------------------------------
 
 
 def test_level_of_singleton():
-    assert level_of(SINGLETON, "p") == 1
+    assert SINGLETON._levels == (1,)
+    assert level_of(SINGLETON) == {"p": 1}
 
 
 def test_level_of_chain_top():
-    assert level_of(CHAIN3, "c") == 3
-    assert level_of(CHAIN3, "b") == 2
-    assert level_of(CHAIN3, "a") == 1
+    assert CHAIN3._levels == (1, 2, 3)
+    assert level_of(CHAIN3) == {"a": 1, "b": 2, "c": 3}
 
 
 def test_level_of_block_has_two_levels():
     block = asymmetric_block(3)
-    for x in block.points:
-        assert level_of(block, x) == (2 if x.endswith("/top") else 1)
-
-
-def test_level_of_unknown_point():
-    with pytest.raises(KeyError, match="no such point"):
-        level_of(CHAIN3, "zz")
+    levels = level_of(block)
+    for x, lvl in zip(block.points, block._levels):
+        assert lvl == levels[x] == (2 if x.endswith("/top") else 1)
 
 
 # -- beat points and minimality -------------------------------------------
 
 
 def test_beats_of_two_chain():
-    report = beat_points(make_poset(["a", "b"], [("a", "b")]))
-    assert report.up_beats == {"a"}
-    assert report.down_beats == {"b"}
+    two_chain = make_poset(["a", "b"], [("a", "b")])
+    assert _order_theoretic_beats(two_chain) == ({"a"}, {"b"})
+    assert not is_minimal(two_chain)
 
 
 def test_block_has_no_beats():
-    report = beat_points(asymmetric_block(0))
-    assert report.up_beats == frozenset()
-    assert report.down_beats == frozenset()
+    block = asymmetric_block(0)
+    assert _order_theoretic_beats(block) == (set(), set())
+    assert is_minimal(block)
 
 
 def test_vee_beats():
-    report = beat_points(VEE)
-    assert report.up_beats == {"a", "b"}
-    assert report.down_beats == frozenset()
+    assert _order_theoretic_beats(VEE) == ({"a", "b"}, set())
+    assert not is_minimal(VEE)
 
 
 def test_is_minimal_basics():
@@ -269,91 +262,34 @@ def _order_theoretic_beats(p: Poset):
 
 @given(posets(max_points=12))
 def test_beats_match_order_theoretic_definition(p):
-    report = beat_points(p)
     up, down = _order_theoretic_beats(p)
-    assert report.up_beats == up
-    assert report.down_beats == down
-
-
-# -- core -----------------------------------------------------------------
-
-
-def test_core_of_chains_is_singleton():
-    for n in range(1, 7):
-        chain = make_poset(
-            [f"c{i}" for i in range(n)],
-            [(f"c{i}", f"c{i + 1}") for i in range(n - 1)],
-        )
-        assert len(core(chain).points) == 1
-
-
-def test_core_of_minimal_block_is_itself():
-    block = asymmetric_block(3)
-    assert core(block) == block
-
-
-def test_core_strips_dangling_point_back_to_block():
-    block = asymmetric_block(0)
-    augmented = make_poset(
-        list(block.points) + ["w"], list(block.covers) + [("t4/top", "w")]
-    )
-    reduced = core(augmented)
-    assert isomorphic(reduced, block) is not None
-
-
-@given(posets(max_points=10))
-def test_core_is_minimal_and_idempotent(p):
-    reduced = core(p)
-    assert is_minimal(reduced)
-    assert isomorphic(core(reduced), reduced) is not None
-
-
-@given(posets(max_points=8))
-def test_core_absorbs_fresh_point_over_a_maximal_point(p):
-    if not p.points:
-        return
-    above, _ = _strict_sets(p)
-    maximal = next(x for x in p.points if not above[x])
-    grown = make_poset(list(p.points) + ["fresh!"], list(p.covers) + [(maximal, "fresh!")])
-    assert isomorphic(core(grown), core(p)) is not None
+    assert is_minimal(p) == (not up and not down)
 
 
 @settings(max_examples=50)
 @given(posets(max_points=10))
 def test_cover_levels_increase(p):
+    levels = level_of(p)
+    assert p._levels == tuple(map(levels.__getitem__, p.points))
     for x, y in p.covers:
-        assert level_of(p, y) >= level_of(p, x) + 1
+        assert levels[y] >= levels[x] + 1
 
 
-@given(posets(max_points=10))
-def test_delete_point_keeps_the_induced_order(p):
-    above, _ = _strict_sets(p)
-    for x in p.points:
-        rest = _delete_point(p, x)
-        assert rest.points == tuple(y for y in p.points if y != x)
-        assert _strict_sets(rest)[0] == {y: above[y] - {x} for y in rest.points}
+# -- hasse degrees ------------------------------------------------------------
 
 
-def test_core_deterministic_seeded_sweep():
-    rng = random.Random(20_250_101)
-    for _ in range(40):
-        p = random_poset(rng, 18)
-        first = core(p)
-        assert core(p) == first
-
-
-# -- hasse_degree -----------------------------------------------------------
-
-
-def test_hasse_degree_examples():
-    assert hasse_degree(SINGLETON, "p") == 0
+def test_hasse_degree_examples(capsys):
+    """The per-level degrees of the ``build-fk`` summary are the degrees of
+    the bottom points, counted from the named covers."""
     block = asymmetric_block(3)
-    assert hasse_degree(block, "a/bot") == 2
-    assert hasse_degree(block, "a/top") == 2
-    assert hasse_degree(block, "t7/bot") == 7
-    assert hasse_degree(block, "t7/top") == 7
-    with pytest.raises(KeyError, match="no such point"):
-        hasse_degree(block, "t9/bot")
+    assert hasse_degree(block, "a/bot") == hasse_degree(block, "a/top") == 2
+    assert hasse_degree(block, "t7/bot") == hasse_degree(block, "t7/top") == 7
+    for k in range(7):
+        block = asymmetric_block(k)
+        degrees = sorted(hasse_degree(block, x) for x in block.points if x.endswith("/bot"))
+        assert cli.main(["build-fk", str(k), "--format", "summary"]) == 0
+        summary = capsys.readouterr().out
+        assert summary.endswith(", per-level degrees " + ",".join(map(str, degrees)) + "\n")
 
 
 # -- isomorphic ---------------------------------------------------------

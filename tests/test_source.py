@@ -60,3 +60,12 @@ def test_no_exported_name_hides_a_submodule():
         and not isinstance(getattr(finspace, path.stem), ModuleType)
     ]
     assert offenders == []
+
+
+def test_readme_library_example_runs():
+    """The first Python block under the README's ``## Library`` heading
+    runs: it imports only names the package exports, and its asserts hold."""
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
