@@ -58,35 +58,29 @@ known beforehand (verify passes the certified translations t_s) start the
 forest before the root is refined, each vertex labelled by the smallest
 vertex of its orbit under them, and prune depth 0's candidates; that no
 further map exists, the upper bound, is still decided by the search alone.
-They also end the root refinement early.  Let H be the group the known
-maps generate and m the number of its orbits, the forest's trees.  Every
-round's classes are unions of Aut-orbits (an automorphism keeps the seed
-keys and, round by round, the signatures), and every Aut-orbit is a union
-of H-orbits, so a round has at most m classes.  A round with exactly m has
-the Aut-orbits as its classes, and an orbit partition is equitable: the
-next round would split nothing, so the refinement stops there with the
-same partition, one trace entry short.  Verify's root, the translation
-orbits, takes two rounds from the degree seed (four from one class, run
-to the end).  The root's rounds are also done per H-orbit, not per
-vertex: H keeps the seed keys, so by induction every round's colors are
-H-invariant and two vertices of an H-orbit get equal signatures; each
-round signs one of them (``_settle``).  On a cyclic space that is 44
-vertices, whatever |G|.  The walk needs an equitable partition (every
-state it is handed is a stable refinement or that orbit partition), on
-which the bucket keys that two neighbours share are the same for every
-member of a class, so it finds them once per class.  At a root whose
-classes are the known orbits (as many classes as trees), the walk from
-the pivot v stops once it has reached t(v) for each known map t and a
-member of every class: what the full walk reaches is then H-invariant and
-meets every H-orbit, so it is every vertex (``_unique_walk``).  The cut
-tree forces no map, and no leaf asks it to: v's class is v's orbit, so
-depth 0 prunes every candidate.  On a cyclic space's root the walk
-reaches 95 vertices from the pivot, whatever |G|, not all 44|G|.  Every
-map emitted by the search, and every known map, is checked by one edge
-test, ``_carries``, on the digraphs' per-color rows
-(``ColoredDigraph.out``), and against the seed coloring, so refinement
-and the walk are pruning devices, never a source of truth.  The same
-edge test serves a factorial-time oracle over all vertex bijections, for
+They also shrink the root refinement.  Let H be the group the known maps
+generate.  H keeps the seed keys, so every round's colors are H-invariant
+and the root is refined on the quotient by the H-orbits, one vertex per
+orbit (``_refine_orbits``).  A discrete quotient has the H-orbits as its
+classes, and an orbit partition is equitable, so the quotient's colors are
+always those of the per-vertex refinement run to the end.  Verify's root,
+the translation orbits, takes two rounds from the degree seed (four from
+one class) and signs one vertex per orbit: on a cyclic space that is 44
+vertices, whatever |G|.  The walk needs an equitable partition, as every
+state it is handed is, on which the bucket keys that two neighbours share
+are the same for every member of a class, so it finds them once per
+class.  At a root whose classes are the known orbits (as many classes as
+trees), the walk from the pivot v stops once it has reached t(v) for each
+known map t and a member of every class: what the full walk reaches is
+then H-invariant and meets every H-orbit, so it is every vertex
+(``_unique_walk``).  The cut tree forces no map, and no leaf asks it to:
+v's class is v's orbit, so depth 0 prunes every candidate.  On a cyclic
+space's root the walk reaches 95 vertices from the pivot, whatever |G|,
+not all 44|G|.  Every map emitted by the search, and every known map, is
+checked by one edge test, ``_carries``, on the digraphs' per-color rows
+(``ColoredDigraph.out``), and against the seed coloring, so refinement and
+the walk are pruning devices, never a source of truth.  The same edge test
+serves a factorial-time oracle over all vertex bijections, for
 cross-validation on small graphs.  In verify, the check of the known maps
 is part 2's edge test: each t_s is edge-tested once.
 
@@ -152,19 +146,13 @@ def hasse_digraph(p: Poset) -> ColoredDigraph:
 # -- refinement --------------------------------------------------------
 
 
-def _refine(
-    inc, keys: list, target: list | None = None, stop: int | None = None, rep=None
-):
+def _refine(inc, keys: list, target: list | None = None):
     """Stable coloring of one digraph from seed keys, with its trace.
 
     Keys are hashable and comparable.  Round 0 names each seed class by
     its start (the number of smaller keys) and records the sorted (key,
     count) pairs, so two sides that pass round 0 have equal class sizes.
-    Round 1 signs all: keys are not signatures.  ``stop`` (default n,
-    discrete) is a class count that the caller knows to be stable once
-    reached, as the orbit count of known automorphisms is.  ``rep`` maps
-    each vertex to one vertex of its orbit under automorphisms that keep
-    the keys (see ``_settle``); the result is the same with or without it.
+    Round 1 signs all: keys are not signatures.
     """
     counted = sorted(Counter(keys).items())
     start, at = {}, 0
@@ -176,8 +164,45 @@ def _refine(
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     entry = ((), tuple(counted))
-    stop = len(keys) if stop is None else stop
-    return _settle(inc, colors, cells, range(len(keys)), entry, stop, target, rep)
+    return _settle(inc, colors, cells, range(len(keys)), entry, target)
+
+
+def _refine_orbits(inc, keys: list, label: list[int]):
+    """``_refine``'s stable coloring, and a trace counted in orbits, found on
+    the quotient by the orbits of a group H of automorphisms that keep the
+    keys (the root's known maps, edge-tested and, when seeded,
+    seed-tested).  ``label`` names each vertex's orbit by its smallest
+    vertex, as ``_orbit_forest`` does.
+
+    Every round's colors are H-invariant: colors[h(v)] = colors[v] for
+    every h in H and every v.  It holds at round 0, as h keeps the keys;
+    if it holds at a round, h maps v's edges onto h(v)'s channel by
+    channel, so sign(h(v)) = sign(v), and each part is a union of
+    H-orbits.  So each round splits the orbits as it splits their smallest
+    vertices, and the quotient, that vertex of each orbit with its offsets,
+    keys and edges ending at orbits, splits alike: its classes rank as the
+    digraph's do, and their names, starts counted in orbits, become the
+    digraph's once counted in vertices.  The quotient stops once it is
+    discrete, when the classes are the H-orbits: an orbit partition is
+    equitable, so a round on the digraph would split nothing either.
+    """
+    nbrs, offsets = inc
+    reps = [v for v, r in enumerate(label) if v == r]
+    index = {r: i for i, r in enumerate(reps)}
+    orbit = list(map(index.__getitem__, label))
+    quotient = [list(map(orbit.__getitem__, nbrs[r])) for r in reps]
+    found = _refine((quotient, [offsets[r] for r in reps]), [keys[r] for r in reps])
+    (classes, members), trace = found
+    size = Counter(orbit)
+    start, at = {}, 0
+    for c in sorted(members):
+        start[c] = at
+        at += sum(map(size.__getitem__, members[c]))
+    colors = [start[classes[i]] for i in orbit]
+    cells: dict[int, list[int]] = {start[c]: [] for c in members}
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return (colors, cells), trace
 
 
 def _split(inc, colors: list[int], cells: dict, v: int, target: list | None = None):
@@ -192,12 +217,10 @@ def _split(inc, colors: list[int], cells: dict, v: int, target: list | None = No
     colors[v] = c + len(rest)
     cells = {**cells, c: rest, colors[v]: [v]}
     entry = (((c, (len(rest), 1)),), 0)
-    return _settle(inc, colors, cells, set(inc[0][v]), entry, len(colors), target)
+    return _settle(inc, colors, cells, set(inc[0][v]), entry, target)
 
 
-def _settle(
-    inc, colors: list[int], cells: dict, dirty, entry, stop: int, target, rep=None
-):
+def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
     """Refine the ordered partition (colors, cells) until it is equitable.
 
     Each round signs the ``dirty`` vertices and splits each class by rank
@@ -208,35 +231,16 @@ def _settle(
     triples would.  A member not re-signed has every neighbor in a split
     class inside its largest part, so it shares its classmates' counts and
     the signature of any untouched one.  Part lists are never changed once
-    built.  The round that reaches ``stop`` classes collects no dirty
+    built.  The round that makes the partition discrete collects no dirty
     vertices, as no round follows it.
-
-    ``rep``, if given, maps each vertex to one vertex of its orbit under a
-    group H of automorphisms that keep the seed coloring (the root's known
-    maps, edge-tested and, when seeded, seed-tested).  Then each round
-    signs one vertex per H-orbit and files the rest of the orbit in that
-    vertex's part, in the order the round meets them, so colors, part
-    lists and trace are those of a round that signs all.  The orbit lemma
-    makes this sound: colors[h(v)] = colors[v] for every h in H and every
-    v, at every round.  It holds at round 0, as h keeps the seed keys; if
-    it holds at a round, h maps v's edges onto h(v)'s channel by channel,
-    so sign(h(v)) = sign(v), and each part is a union of H-orbits with an
-    H-invariant name, its class's name or its start.  An individualized
-    partition need not be H-invariant, so ``_split`` passes no ``rep``.
-    Without ``rep`` every vertex is signed directly: an identity ``rep``
-    gives the same result, but its memo made ``_settle`` about 11 % slower
-    on the iso-pairs benchmark ops and on automorphisms() of the cyclic:24,
-    dihedral:12 and symmetric:4 spaces (slower in 38 and 35 of 40
-    interleaved passes, CPython 3.11 on a 2-vCPU host).
 
     Each round appends (the split classes with their part sizes, hash of
     the sorted signatures of each class with a re-signed member) to the
-    trace, up to the round that reaches ``stop`` classes or splits
-    nothing; isomorphic inputs give equal traces.  A class re-signed
-    without splitting still counts, so equal traces mean equal
-    class-to-class counts.  Returns
-    ((colors, cells), trace), or None at the first round whose entry
-    differs from ``target``'s.
+    trace, up to the round that makes it discrete or splits nothing;
+    isomorphic inputs give equal traces.  A class re-signed without
+    splitting still counts, so equal traces mean equal class-to-class
+    counts.  Returns ((colors, cells), trace), or None at the first round
+    whose entry differs from ``target``'s.
     """
     trace: list = []
     nbrs, offsets = inc
@@ -249,24 +253,16 @@ def _settle(
         if target is not None and target[len(trace)] != entry:
             return None
         trace.append(entry)
-        if len(cells) == stop or (len(trace) > 1 and not entry[0]):
+        if len(cells) == len(colors) or (len(trace) > 1 and not entry[0]):
             return (colors, cells), trace
         touched: dict[int, list[int]] = {}
         for v in dirty:
             touched.setdefault(colors[v], []).append(v)
         signed, split = [], []
-        filed: dict[int, list[int]] = {}  # this round: rep[v] -> the part of v's orbit
         for c in sorted(touched):
             parts: dict[tuple, list[int]] = {}
-            if rep is None:
-                for v in touched[c]:
-                    parts.setdefault(sign(v), []).append(v)
-            else:
-                for v in touched[c]:
-                    part = filed.get(rep[v])
-                    if part is None:
-                        part = filed[rep[v]] = parts.setdefault(sign(v), [])
-                    part.append(v)
+            for v in touched[c]:
+                parts.setdefault(sign(v), []).append(v)
             if len(touched[c]) < len(cells[c]):
                 marked = set(touched[c])
                 rest = list(filterfalse(marked.__contains__, cells[c]))
@@ -275,7 +271,7 @@ def _settle(
             signed.append((c, tuple(order)))
             if len(order) > 1:
                 split.append((c, [parts[sig] for sig in order]))
-        last = len(cells) + sum(len(parts) - 1 for _, parts in split) == stop
+        last = len(cells) + sum(len(parts) - 1 for _, parts in split) == len(colors)
         dirty = set()
         for c, parts in split:
             largest = max(parts, key=len)  # the first by rank: relabelling-invariant
@@ -341,8 +337,7 @@ def _unique_walk(
     itself.  A vertex with every neighbour reached adds nothing and is
     skipped.
 
-    The partition must be equitable, as every stable refinement is and as
-    the orbit partition at which a root with known maps stops is: then
+    The partition must be equitable, as every stable refinement is: then
     each member of a class has as many neighbours in each bucket, so the
     keys that two neighbours share are the same for the whole class, and
     they are found once per class, from the first member the walk expands.
@@ -438,14 +433,13 @@ class _PairSearch:
     A side without a seed is seeded by its channel degrees.  The
     constructor checks the ``known`` automorphisms (automorphism mode
     only), labels their orbits as a flat union-find forest, refines the
-    left root, signing one vertex per tree and stopping once it has as
-    many classes as the forest has trees, and descends from it.
+    left root on the quotient by its trees, and descends from it.
     ``path[d]`` is the left side's ((colors, cells), trace) after
     individualizing ``base[:d]``, and ``base[d]`` is the pivot of
     ``path[d]``.  ``tree`` is the walk of the last depth, the first one
     complete; ``base`` ends with that depth's pivot, or is one shorter
-    than ``path`` when ``path[-1]`` is discrete.  Only a root that stopped
-    with ``len(cells) == trees`` gives its walk a goal, the pivot's images
+    than ``path`` when ``path[-1]`` is discrete.  Only a root with
+    ``len(cells) == trees`` gives its walk a goal, the pivot's images
     under the known maps; its classes are then the trees, so the pivot's
     class is its tree, depth 0 tries no candidate, and the tree, possibly
     cut short at the goal, is never replayed by a leaf.  The right side
@@ -471,11 +465,13 @@ class _PairSearch:
         for sigma in self.known:
             if sorted(sigma) != every or self._accept(sigma) is None:
                 raise ValueError("a known map is not an automorphism of the digraph")
-        self.forest, trees, rep = every[:], self.n, None
+        self.forest, trees = every[:], self.n
         if self.known:
             self.forest, trees = _orbit_forest(self.known, self.n)
-            rep = self.forest
-        self.base, self.path = [], [_refine(self.inc_a, self.keys_a, None, trees, rep)]
+            root = _refine_orbits(self.inc_a, self.keys_a, self.forest)
+        else:
+            root = _refine(self.inc_a, self.keys_a)
+        self.base, self.path = [], [root]
         while True:
             colors, cells = self.path[-1][0]
             v = self._pivot(colors, cells)
@@ -619,11 +615,10 @@ def automorphisms(d: ColoredDigraph, known=()) -> AutGroup:
     is the product of base-point orbit sizes under the generators found at
     or below each branching depth (orbit-stabilizer).  ``known``
     automorphisms, each checked to be one (else ``ValueError``), are
-    reported as generators, end the root refinement once it has as many
-    classes as they have orbits, then end the root's walk once it has
-    reached their images of the pivot and every class, and prune the
-    depth-0 candidates in their orbits; the search alone still decides
-    that no other map exists.
+    reported as generators, have the root refined one vertex per orbit of
+    theirs, end the root's walk once it has reached their images of the
+    pivot and every class, and prune the depth-0 candidates in their
+    orbits; the search alone still decides that no other map exists.
     """
     return _PairSearch(d, d, known=known).automorphism_group()
 

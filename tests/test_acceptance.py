@@ -30,6 +30,7 @@ from finspace import (
     is_minimal,
     isomorphic,
     klein_four,
+    make_poset,
     right_translation,
     symmetric,
     verify_realization,
@@ -164,6 +165,26 @@ def test_criterion_8_property_suites():
         p = random_poset(rng, 15)
         up, down = _order_theoretic_beats(p)
         assert is_minimal(p) == (not up and not down)
+
+    # The draws above are minimal only as antichains.  Crowns on 2k points
+    # and disjoint unions of blocks are minimal with covers; one cover
+    # removed leaves both of its ends with one cover fewer.
+    answers = set()
+    for _ in range(20):
+        k = rng.randint(3, 6)
+        crown = [(f"a{i}", f"b{(i + j) % k}") for i in range(k) for j in (0, 1)]
+        blocks = [asymmetric_block(rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        union = [(f"{i}.{x}", f"{i}.{y}")
+                 for i, b in enumerate(blocks) for x, y in sorted(b.covers)]
+        for covers in (crown, union):
+            points = sorted({x for cover in covers for x in cover})
+            cut = covers[:]
+            del cut[rng.randrange(len(cut))]
+            for q in (make_poset(points, covers), make_poset(points, cut)):
+                up, down = _order_theoretic_beats(q)
+                assert is_minimal(q) == (not up and not down)
+                answers.add(is_minimal(q))
+    assert answers == {True, False}
 
     spaces = [asymmetric_block(k) for k in range(11)]
     spaces.append(build_realization(cyclic(3)).poset)

@@ -994,7 +994,7 @@ def test_verify_builds_no_name_or_triple_view(monkeypatch):
         assert not {"arcs", "edges", "covers"} & set(vars(value))
 
 
-# -- root refinement stopped at the known maps' orbits ------------------------
+# -- root refinement on the known maps' orbits --------------------------------
 
 
 def _orbit_reps(maps, n: int) -> list[int]:
@@ -1020,14 +1020,16 @@ def _orbit_count(maps, n: int) -> int:
 
 
 def test_verify_root_stops_at_the_translation_orbits(monkeypatch):
-    """Verify's root refinement, seeded by channel degrees, ends once it has
-    as many classes as the certified translations have orbits: two trace
-    entries, not the three of a degree-seeded refinement run until a round
-    splits nothing, nor the four from one class, with equal classes."""
+    """Verify's root refinement, seeded by channel degrees, runs on the
+    certified translations' orbits and ends once they are its classes: two
+    trace entries, not the three of a degree-seeded refinement of every
+    vertex run until a round splits nothing, nor the four from one class,
+    with equal colors and classes."""
     roots, known = [], []
-    refine_root, search = engine._refine, engine.automorphisms
+    refine_root, refine_orbits = engine._refine, engine._refine_orbits
+    search = engine.automorphisms
     monkeypatch.setattr(
-        engine, "_refine", lambda *args: roots.append(refine_root(*args)) or roots[-1]
+        engine, "_refine_orbits", lambda *a: roots.append(refine_orbits(*a)) or roots[-1]
     )
     monkeypatch.setattr(
         engine, "automorphisms", lambda d, maps: known.append((d, maps)) or search(d, maps)
@@ -1041,32 +1043,31 @@ def test_verify_root_stops_at_the_translation_orbits(monkeypatch):
         assert len(trace) == 2, m
         assert len(cells) == _orbit_count(maps, len(d)) == 44
         (full_colors, _), full_trace = refine_root(d._incidence, d._degrees)
-        assert (full_colors, full_trace[:2], len(full_trace)) == (colors, trace, 3)
+        assert (full_colors, len(full_trace)) == (colors, 3)
         (_, plain_cells), plain_trace = refine_root(d._incidence, [0] * len(d))
         assert (_class_sets(plain_cells), len(plain_trace)) == (_class_sets(cells), 4)
 
 
-def _without_stop(call):
-    """Run call with the root refinement going on until a round splits nothing."""
-    refine_root = engine._refine
+def _per_vertex_root(call):
+    """Run call with the root refined on every vertex, not on the known
+    maps' orbits, until a round splits nothing."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_refine",
-                   lambda inc, keys, target=None, stop=None, rep=None:
-                   refine_root(inc, keys, target, None, rep))
+        mp.setattr(engine, "_refine_orbits", lambda inc, keys, _: engine._refine(inc, keys))
         return call()
 
 
 def _check_known_subsets(d, seed, mask):
     """Known maps drawn from the generators that a search without them
-    reports give the result of the search that refines to the end, and
-    the order and generated group of the search without known maps."""
+    reports give the result of the search that refines every vertex at the
+    root, and the order and generated group of the search without known
+    maps."""
     def search(known=()):
         return engine._PairSearch(d, d, seed, seed, known).automorphism_group()
 
     alone = search()
     known = [g for g, keep in zip(alone.generators, mask) if keep]
     group = search(known)
-    assert group == _without_stop(lambda: search(known))
+    assert group == _per_vertex_root(lambda: search(known))
     assert group.order == alone.order
     assert set(known) <= set(group.generators)
     n = len(d.vertices)
@@ -1106,8 +1107,9 @@ def test_known_subsets_on_the_shrikhande_graph():
 
 
 def test_known_maps_must_keep_the_seed():
-    """With seeds, a known map must keep them too: the stop counts on the
-    known maps' orbits lying inside the seeded automorphisms' orbits."""
+    """With seeds, a known map must keep them too: the root's quotient
+    counts on every round's colors being constant on the known maps'
+    orbits."""
     seed = {"a": 0, "b": 0, "c": 1}
     rotation = (1, 2, 0)
     assert automorphisms(TRIANGLE, [rotation]).order == 3
@@ -1120,24 +1122,21 @@ def test_known_maps_must_keep_the_seed():
 
 
 def _check_root_per_orbit(d, seed, known):
-    """The root refined with one signature per orbit of the known maps is the
-    root refined by signing every vertex: the same colors, part lists and
-    trace, stopped at the orbit count or run to the end.  Stopped, it is the
-    run to the end cut short; either way its classes are the reference's."""
-    n = len(d.vertices)
+    """The root refined on the quotient by the known maps' orbits is the
+    root refined by signing every vertex, run to the end: the same colors,
+    and the same classes in the same key order, each listed in index order.
+    Its classes are the reference's, and it takes no more rounds."""
     keys = d._degrees if seed is None else [seed[v] for v in d.vertices]
-    rep = _orbit_reps(known, n)
-    inc = d._incidence
-    full_state, full_trace = engine._refine(inc, keys)
+    label = _orbit_reps(known, len(d.vertices))
+    (colors, cells), trace = engine._refine_orbits(d._incidence, keys, label)
+    (full_colors, full_cells), full_trace = engine._refine(d._incidence, keys)
+    assert colors == full_colors
+    assert list(cells.items()) == [(c, sorted(m)) for c, m in full_cells.items()]
+    assert len(trace) <= len(full_trace)
     reference = reference_refine(d, seed)
     classes = {frozenset(i for i, v in enumerate(d.vertices) if reference[v] == k)
                for k in set(reference.values())}
-    for stop in (len(set(rep)), None):
-        per_vertex = engine._refine(inc, keys, None, stop)
-        assert engine._refine(inc, keys, None, stop, rep) == per_vertex
-        state, trace = per_vertex
-        assert (state, trace) == (full_state, full_trace[:len(trace)])
-        assert _class_sets(state[1]) == classes
+    assert _class_sets(cells) == classes
 
 
 @given(st.one_of(seeded_digraphs(), circulant_unions()), st.data())
@@ -1156,6 +1155,26 @@ def test_root_signs_one_vertex_per_orbit_on_the_shrikhande_graph():
     gens = automorphisms(d).generators
     for bits in range(2 ** len(gens)):
         _check_root_per_orbit(d, None, [g for i, g in enumerate(gens) if bits >> i & 1])
+
+
+def test_root_per_orbit_names_classes_by_their_start_in_vertices():
+    """A rotation of a directed triangle that fixes the hub h, with an arc to
+    each corner, and h's one out-neighbour t off the triangle: orbits of 3,
+    1 and 1 vertices, so a class that follows the triangle's starts at 4,
+    not at 2 as counted in orbits.  Seeded by degrees, t ranks first and h
+    last; seeded by one value, which takes a round to split, h ranks first
+    and t last.  Either way the root is the per-vertex one, and the search
+    finds order 3."""
+    names = ["a0", "a1", "a2", "h", "t"]
+    arcs = [("a0", "a1"), ("a1", "a2"), ("a2", "a0"), ("h", "t")]
+    d = make_digraph(names, [(s, u, 1) for s, u in arcs + [("h", a) for a in names[:3]]])
+    rotation = (1, 2, 0, 3, 4)
+    one = dict.fromkeys(names, 0)
+    for seed, expected in ((None, [1, 1, 1, 4, 0]), (one, [1, 1, 1, 0, 4])):
+        _check_root_per_orbit(d, seed, [rotation])
+        search = engine._PairSearch(d, d, seed, seed, [rotation])
+        assert search.path[0][0][0] == expected
+        assert search.automorphism_group() == engine.AutGroup((rotation,), 3)
 
 
 def test_root_signing_does_not_grow_with_the_group(monkeypatch):
@@ -1434,10 +1453,10 @@ class _SplitSizes(tuple):
 def _by_split_sizes(settle):
     """``_settle`` with a target trace compared by round 0 and the split
     sizes of each later round."""
-    def by_sizes(inc, colors, cells, dirty, entry, stop, target, rep=None):
+    def by_sizes(inc, colors, cells, dirty, entry, target):
         if target is not None:
             target = [target[0], *map(_SplitSizes, target[1:])]
-        return settle(inc, colors, cells, dirty, entry, stop, target, rep)
+        return settle(inc, colors, cells, dirty, entry, target)
 
     return by_sizes
 
