@@ -20,7 +20,9 @@ tests that want them: groups keep only their generators' rows and columns.
 ``level_of`` and ``hasse_degree`` read a point's level and degree off the
 named covers, independently of the poset's own level walk and cover rows.
 ``poset_to_json_dict`` and ``digraph_to_json_dict`` are the JSON objects
-that the one-pass text writers must dump exactly.
+that the one-pass text writers must dump exactly.  ``reference_carries`` is
+the edge test that sorts the image of every row, kept as the reference for
+the engine's chunked gather.
 """
 
 from __future__ import annotations
@@ -273,6 +275,17 @@ def reference_refine(d: ColoredDigraph, seed: dict | None = None) -> dict[str, i
             v: (colors[v], tuple(sorted((dr, c, colors[w]) for dr, c, w in incident[v])))
             for v in d.vertices
         }
+
+
+def reference_carries(sigma, out_a, out_b) -> bool:
+    """The edge test row by row: the colors agree and, per color and vertex
+    s, the sorted images of s's row are the row of sigma[s]."""
+    image = sigma.__getitem__
+    return [c for c, _ in out_a] == [c for c, _ in out_b] and all(
+        tuple(sorted(map(image, row))) == moved
+        for (_, rows_a), (_, rows_b) in zip(out_a, out_b)
+        for row, moved in zip(rows_a, map(rows_b.__getitem__, sigma))
+    )
 
 
 def check_all_translations(space) -> None:

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import full_table, level_of, random_colored_digraph, reference_refine
-from conftest import seeded_digraphs
+from conftest import reference_carries, seeded_digraphs
 from test_acceptance import CORPUS
 from finspace import (
+    ColoredDigraph,
     FiniteGroup,
     RealizationSpace,
     asymmetric_block,
@@ -403,9 +404,9 @@ def _carries_by_triples(sigma, a, b) -> bool:
 @given(st.data())
 def test_carries_agrees_with_the_triple_definition(data):
     """On bijections between digraphs with equal arc counts, the row test
-    is the triple test: b is a moved by a vertex and a color permutation
-    (colors 1..4, some unused, maybe no arc at all), sigma is the vertex
-    permutation or any other."""
+    is the triple test and the test that sorts every row: b is a moved by
+    a vertex and a color permutation (colors 1..4, some unused, maybe no
+    arc at all), sigma is the vertex permutation or any other."""
     n = data.draw(st.integers(0, 6))
     names = [f"v{i}" for i in range(n)]
     cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
@@ -421,6 +422,27 @@ def test_carries_agrees_with_the_triple_definition(data):
     assert engine._carries(sigma, a.out, b.out) == _carries_by_triples(sigma, a, b)
     assert engine._carries(sigma, a.out, same.out) == _carries_by_triples(sigma, a, same)
     assert engine._carries(tuple(pi), a.out, same.out)
+    for other in (a, b, same):
+        assert engine._carries(sigma, a.out, other.out) == reference_carries(
+            sigma, a.out, other.out
+        )
+
+
+def test_carries_gathers_a_layer_of_one_arc():
+    """A layer whose one arc lies past the first gather: the first chunk
+    gathers no image and the second one image."""
+    n = engine._CARRY_CHUNK + 2
+    rows = ((),) * (n - 2) + ((n - 1,), ())
+    d = ColoredDigraph(tuple(f"v{i}" for i in range(n)), ((1, rows),))
+    identity = list(range(n))
+    swap_arc = identity[:-2] + [n - 1, n - 2]
+    move_source = [n - 2] + identity[1:-2] + [0, n - 1]
+    fix_arc = [1, 0] + identity[2:]
+    verdicts = []
+    for sigma in map(tuple, (identity, swap_arc, move_source, fix_arc)):
+        verdicts.append(engine._carries(sigma, d.out, d.out))
+        assert verdicts[-1] == reference_carries(sigma, d.out, d.out)
+    assert verdicts == [True, False, False, True]
 
 
 # -- isomorphism search -----------------------------------------------------
@@ -771,18 +793,19 @@ def test_verify_realization_cyclic3():
     assert report.render() == verify_realization(cyclic(3)).render()
 
 
-def _swap_two(image, space, s):
-    image[0], image[1] = image[1], image[0]
+def _swap_two(image, space, s, lo=0):
+    image[lo], image[lo + 1] = image[lo + 1], image[lo]
 
 
-def _collapse_one(image, space, s):
+def _collapse_one(image, space, s, lo=0):
     """Send point p to q's image, where q is above and below all that p is:
-    every cover still lands on a cover, but the map is not injective."""
+    every cover still lands on a cover, but the map is not injective.  p
+    and q are sought from point lo on."""
     x = space.poset
     p, q = next(
         (p, q)
-        for p in range(len(image))
-        for q in range(len(image))
+        for p in range(lo, len(image))
+        for q in range(lo, len(image))
         if p != q
         and set(x.up[p]) <= set(x.up[q])
         and set(x._down[p]) <= set(x._down[q])
@@ -847,6 +870,32 @@ def test_known_maps_are_checked(mutate):
     assert automorphisms(d, [t_s]).order == 4
     with pytest.raises(ValueError, match="not an automorphism"):
         automorphisms(d, [t_s, tuple(image)])
+
+
+@pytest.mark.parametrize(
+    "mutate", [_swap_two, _collapse_one], ids=["swapped-pair", "repeated-entry"]
+)
+def test_carries_refuses_a_row_past_the_first_gather(mutate):
+    """cyclic:96's 4224 rows take several gathers of the edge test, the
+    last one short.  A t_s broken among the top points of the last block
+    breaks rows of that block only, all in the last gather, and is refused
+    there, as by sorting every row."""
+    space = build_realization(cyclic(96))
+    out = hasse_digraph(space.poset).out
+    ((_, rows),) = out
+    t_s = induced_translation(space, space.group.generators[0])
+    block = space.blocks[-1]
+    image = list(t_s)
+    mutate(image, space, space.group.generators[0], lo=block.start + block.size // 2)
+    broken = tuple(image)
+    bad = [
+        v for v, row in enumerate(rows) if tuple(sorted(broken[u] for u in row)) != rows[broken[v]]
+    ]
+    last = len(rows) - len(rows) % engine._CARRY_CHUNK
+    assert 0 < last < len(rows) and bad and min(bad) >= last
+    assert engine._carries(t_s, out, out) and reference_carries(t_s, out, out)
+    assert not engine._carries(broken, out, out)
+    assert not reference_carries(broken, out, out)
 
 
 @pytest.mark.parametrize("group", [cyclic(12), dihedral(8), klein_four()],
