@@ -19,6 +19,15 @@ is implied by a point chain through M.  A point's level is its block's
 offset, the longest path into the block weighted by block heights, plus
 its level inside the block.
 
+A construction lays many copies of few blocks, so ``assemble`` reads
+each distinct block object once, into a template, and lays every copy
+from it.  One list holds the point indices, and a copy filling
+``index[start:start + size]`` takes its rows in one C-level gather of
+that slice, cut back into rows at the template's row ends.  Entry i of
+the slice is start + i, so the gather gives exactly the block's rows
+shifted by start, in the same order, and every row shares the list's one
+int object per point.
+
 On top of it sits ``build_realization``: given a finite group with
 generators, it lays one degree-0 block per group element and, per colored
 Cayley edge, one edge block plus two flanking second-story blocks whose
@@ -34,20 +43,53 @@ at g*h, and no point is looked up by name; names are for I/O.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from .blocks import asymmetric_block
 from .groups import FiniteGroup, right_translation
 from .poset import Poset, make_poset  # noqa: F401 (the benchmark wraps assembly.make_poset)
 
 
-def _shape(block: Poset) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """A block's first-level indices, last-level indices and height."""
+class _Template(NamedTuple):
+    """What every copy of one block shares.  ``firsts`` and ``rows`` take a
+    copy's point indices, the list slice its points fill, and gather its
+    first-level points and its rows joined; ``cuts`` cut the joined rows
+    back into rows."""
+
+    firsts: Callable[[list[int]], tuple[int, ...]]
+    lasts: tuple[int, ...]
+    height: int
+    rows: Callable[[list[int]], tuple[int, ...]]
+    cuts: tuple[slice, ...]
+    levels: tuple[int, ...]
+
+
+def _gather(picks: tuple[int, ...]) -> Callable[[list[int]], tuple[int, ...]]:
+    """One C-level call that takes the entries at picks, as a tuple.  An
+    ``itemgetter`` of one index returns the bare entry and of none raises,
+    so those two gather in Python."""
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    return lambda seq: tuple(map(seq.__getitem__, picks))
+
+
+def _template(block: Poset) -> _Template:
+    """A non-empty block's template."""
     levels = block._levels
     height = max(levels)
-    firsts = tuple(i for i, lvl in enumerate(levels) if lvl == 1)
-    return firsts, tuple(i for i, lvl in enumerate(levels) if lvl == height), height
+    ends = list(accumulate(map(len, block.up)))
+    return _Template(
+        _gather(tuple(i for i, lvl in enumerate(levels) if lvl == 1)),
+        tuple(i for i, lvl in enumerate(levels) if lvl == height),
+        height,
+        _gather(tuple(chain.from_iterable(block.up))),
+        tuple(map(slice, [0, *ends], ends)),
+        levels,
+    )
 
 
 def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Poset:
@@ -55,13 +97,16 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
     and listed block by block in dict order, plus the complete bipartite
     covers demanded by each (lower, upper) connection.
 
-    Rows come out sorted: a last-level point has no upper cover inside its
-    block, and its covers in the upper blocks are taken in block order.
-    The output is certified as the module docstring says: if the quotient
-    ``Poset`` on the block names and the connections is valid and the
-    point names are distinct, the points' levels are the block offsets
-    plus the levels inside the blocks, and nothing is checked point by
-    point.  Otherwise (a block connected to itself, a cycle, a
+    Each distinct block object is read once, into a template kept for this
+    call only, and every copy of it is laid from that template by one
+    gather from the list of point indices.  A last-level row is
+    empty in its block, as no point covers a top point; it becomes the
+    copy's covers in the upper blocks, taken in block order.  So rows come
+    out sorted.  The output is certified as the module docstring says: if
+    the quotient ``Poset`` on the block names and the connections is valid
+    and the point names are distinct, the points' levels are the block
+    offsets plus the levels inside the blocks, and nothing is checked
+    point by point.  Otherwise (a block connected to itself, a cycle, a
     connection implied through other blocks, a duplicate name, or a block
     name that is not a str) ``Poset`` checks the same rows and names the
     fault."""
@@ -74,22 +119,24 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
         above[order[lo]].append(order[hi])
     quotient_up = tuple(tuple(sorted(ks)) for ks in above)
     points: list[str] = []
-    shapes: dict[int, tuple] = {}  # by id: blocks are often one shared object
-    starts, shape_of = [], []
+    templates: dict[int, _Template] = {}  # by id: blocks are often one shared object
+    starts, copies = [], []
     for bname, block in blocks.items():
         if not block.points:
             raise ValueError(f"empty block {bname!r}")
         starts.append(len(points))
         points.extend(map(f"{bname}/".__add__, block.points))
-        if id(block) not in shapes:
-            shapes[id(block)] = _shape(block)
-        shape_of.append(shapes[id(block)])
-    bottoms = [tuple(map(base.__add__, shape[0])) for base, shape in zip(starts, shape_of)]
+        if id(block) not in templates:
+            templates[id(block)] = _template(block)
+        copies.append(templates[id(block)])
+    index = list(range(len(points)))
+    spans = list(map(index.__getitem__, map(slice, starts, [*starts[1:], len(points)])))
+    bottoms = [t.firsts(span) for t, span in zip(copies, spans)]
     up: list[tuple[int, ...]] = []
-    for base, block, (_, lasts, _), ks in zip(starts, blocks.values(), shape_of, quotient_up):
-        rows = [tuple(map(base.__add__, ys)) for ys in block.up]
+    for t, span, ks in zip(copies, spans, quotient_up):
+        rows = list(map(t.rows(span).__getitem__, t.cuts))
         cross = tuple(chain.from_iterable(map(bottoms.__getitem__, ks)))
-        for j in lasts:
+        for j in t.lasts:
             rows[j] = cross
         up.extend(rows)
     try:
@@ -100,11 +147,13 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
         return Poset(tuple(points), tuple(up))
     offsets = [0] * len(quotient_up)
     for i in sorted(range(len(offsets)), key=quotient._levels.__getitem__):
-        top = offsets[i] + shape_of[i][2]
+        top = offsets[i] + copies[i].height
         for k in quotient_up[i]:
             offsets[k] = max(offsets[k], top)
-    levels = chain.from_iterable(
-        map(offset.__add__, block._levels) for offset, block in zip(offsets, blocks.values())
+    levels = map(
+        add,
+        chain.from_iterable(t.levels for t in copies),
+        chain.from_iterable(map(repeat, offsets, map(len, spans))),
     )
     return Poset._from_checked(tuple(points), tuple(up), tuple(levels))
 

@@ -178,6 +178,46 @@ def test_assembled_levels_add_block_heights():
     )
 
 
+_ANTICHAIN = make_poset(["x", "y", "z"], [])
+_TWO_CHAIN = make_poset(["x", "y"], [("x", "y")])
+_POINT = make_poset(["p"], [])
+_SHARED = asymmetric_block(0)
+_TWIN = Poset(_SHARED.points, _SHARED.up)  # equal to _SHARED, another object
+
+
+@pytest.mark.parametrize(
+    "blocks, connections",
+    [
+        # rows that join to no index, below and above a 2-chain
+        ({"lo": _ANTICHAIN, "mid": _TWO_CHAIN, "hi": _ANTICHAIN},
+         {("lo", "mid"), ("mid", "hi")}),
+        # rows that join to one index, and one first-level point per copy
+        ({"a": _TWO_CHAIN, "b": _TWO_CHAIN, "c": _TWO_CHAIN}, {("a", "c"), ("b", "c")}),
+        # one-point blocks: one index per copy, no rows
+        ({"p": _POINT, "q": _POINT, "r": _TWO_CHAIN}, {("p", "r"), ("r", "q")}),
+        ({"only": _POINT}, set()),
+        # one object under three names beside an equal but distinct one
+        ({"s1": _SHARED, "t": _TWIN, "s2": _SHARED, "s3": _SHARED},
+         {("s1", "t"), ("s2", "t"), ("t", "s3")}),
+    ],
+    ids=["antichain", "two-chain", "one-point", "lone-point", "shared-and-twin"],
+)
+def test_assemble_gathers_edge_case_blocks_as_the_point_level_builder(blocks, connections):
+    """A block's rows joined may hold no index or one, where an
+    ``itemgetter`` raises or returns a bare int; templates are per object,
+    so equal blocks that are distinct objects assemble alike."""
+    got = _outcome(assemble, blocks, connections)
+    assert not isinstance(got, str)
+    assert got == _outcome(_reference_assemble, blocks, connections)
+
+
+def test_realization_rows_share_one_int_object_per_point():
+    """Every copy's rows are gathered from one list of the point indices, so
+    an index is one int object wherever it appears."""
+    p = build_realization(cyclic(48)).poset
+    assert len({id(j) for row in p.up for j in row}) <= len(p.points)
+
+
 def _count_row_checks(monkeypatch) -> list[int]:
     """The number of rows of each ``_check_rows`` call a ``Poset`` makes."""
     sizes = []

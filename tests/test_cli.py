@@ -372,6 +372,8 @@ STDOUT_SHA256 = {
         "dfc36b3a70fa0bf81a6ca72ffda2f06666a2e33d79e17527292ef7c2fee38bbe",
     "build-space dihedral:8 --format json":
         "7f3243c8ef00eb3b528006708f6c52c1812a53ebba7fcae63ceffa883ba9d64b",
+    "build-space symmetric:4 --format json":
+        "c4212ceff2054ed617d1b70caaed6c07ec7f72a11d4d5c4b9ae11ebdb8bbd81e",
     "build-cayley symmetric:3 --format dot":
         "6193bc53b63ddbd7df2691ca8599df9bd127befefa1e8eea801087b5f7a163e6",
     "build-cayley symmetric:3 --format json":
