@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -202,6 +203,12 @@ class RealizationSpace:
         if at != len(self.poset.points):
             raise ValueError("the blocks must cover exactly the assembled points")
 
+    @cached_property
+    def _indices(self) -> list[int]:
+        """``list(range(n))`` over the points, made once per space: slices of
+        it share one int object per point."""
+        return list(range(len(self.poset.points)))
+
     def block_inventory(self) -> dict[int, int]:
         """Count of blocks per family index."""
         return dict(sorted(Counter(info.family for info in self.blocks).items()))
@@ -270,11 +277,12 @@ def induced_translation(space: RealizationSpace, h: int) -> tuple[int, ...]:
     vertex block of g onto that of g*h, the blocks of edge (g, g_k*g) onto
     those of (g*h, g_k*g*h).  g*h is read from ``right_translation``, and
     each block's slot, element and points from its record, so the map is
-    one range of indices per block.  Returned in index form: entry i is
-    the index in ``space.poset.points`` of the image of point i.  Raises
-    ``ValueError`` for an h out of range, when two blocks claim one slot
-    and element, or when a block has no image of its size.  Whether the
-    map is an automorphism is the caller's check.
+    one range of indices per block, sliced from the space's one list of
+    point indices: every image shares its int objects.  Returned in index
+    form: entry i is the index in ``space.poset.points`` of the image of
+    point i.  Raises ``ValueError`` for an h out of range, when two blocks
+    claim one slot and element, or when a block has no image of its size.
+    Whether the map is an automorphism is the caller's check.
     """
     times_h = right_translation(space.group, h)
     block_at: dict[tuple, BlockInfo] = {}
@@ -282,10 +290,10 @@ def induced_translation(space: RealizationSpace, h: int) -> tuple[int, ...]:
         key = (info.kind, info.color, info.element)
         if block_at.setdefault(key, info) is not info:
             raise ValueError(f"{block_at[key].block!r} and {info.block!r} claim one slot")
-    ranges = []
+    index, ranges = space._indices, []
     for info in space.blocks:
         image = block_at.get((info.kind, info.color, times_h[info.element]))
         if image is None or image.size != info.size:
             raise ValueError(f"no image under element {h} for block {info.block!r}")
-        ranges.append(range(image.start, image.start + image.size))
+        ranges.append(index[image.start:image.start + image.size])
     return tuple(chain.from_iterable(ranges))

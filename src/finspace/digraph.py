@@ -15,8 +15,9 @@ private ``ColoredDigraph._from_checked``, which checks nothing; only
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import add
@@ -52,6 +53,47 @@ def _transpose(rows) -> Rows:
         for t in ts:
             into[t].append(s)
     return tuple(map(tuple, into))
+
+
+def _offsets(degrees: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The incidence offsets of a vertex with these channel degrees: n
+    times the channel's rank, once per edge of the channel."""
+    return tuple(chain.from_iterable([r * n] * k for r, k in enumerate(degrees)))
+
+
+class _Made(dict):
+    """A length-n sequence whose entry v is ``make(v)``, made on first read
+    and kept: a later read is a dict lookup, in C.  Where a mapping is read
+    by its items (``Counter``), ``_Entries`` wraps it."""
+
+    def __init__(self, make, n: int):
+        super().__init__()
+        self.make, self.n = make, n
+
+    def __missing__(self, v: int):
+        if not 0 <= v < self.n:
+            raise IndexError(v)
+        self[v] = entry = self.make(v)
+        return entry
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n))
+
+
+class _Entries(Sequence):
+    """A ``_Made``'s entries as a sequence that is no mapping."""
+
+    def __init__(self, made: _Made):
+        self.made = made
+
+    def __len__(self) -> int:
+        return len(self.made)
+
+    def __getitem__(self, v: int):
+        return self.made[v]
 
 
 def _color(c):
@@ -118,6 +160,11 @@ class ColoredDigraph:
         """Per layer of ``out``, each vertex's sorted sources in that color."""
         return tuple(_transpose(rows) for _, rows in self.out)
 
+    def _channels(self) -> list[Rows]:
+        """The rows of every (direction, color) channel in rank order: the
+        layers of ``out``, then those of ``_into``."""
+        return [rows for _, rows in self.out] + list(self._into)
+
     @cached_property
     def _incidence(self) -> tuple[Rows, Rows]:
         """(nbrs, offsets): per vertex, its edges' other endpoints and, at the
@@ -128,25 +175,33 @@ class ColoredDigraph:
         its rows joined channel by channel; vertices with equal channel
         degrees share one offsets tuple."""
         n = len(self.vertices)
-        channels = [rows for _, rows in self.out] + list(self._into)
+        channels = self._channels()
         if not channels:
             return ((),) * n, ((),) * n
         nbrs = channels[0]
         for rows in channels[1:]:
             nbrs = tuple(map(add, nbrs, rows))
         degrees = self._degrees
-        shared = {
-            deg: tuple(chain.from_iterable([r * n] * k for r, k in enumerate(deg)))
-            for deg in set(degrees)
-        }
+        shared = {deg: _offsets(deg, n) for deg in set(degrees)}
         return nbrs, tuple(map(shared.__getitem__, degrees))
 
     @cached_property
     def _degrees(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its number of edges in each channel of ``_incidence``:
         out-degree per color, then in-degree per color."""
-        channels = [rows for _, rows in self.out] + list(self._into)
+        channels = self._channels()
         return tuple(zip(*(map(len, rows) for rows in channels))) or ((),) * len(self.vertices)
+
+    def _on_first_read(self) -> tuple[tuple[_Made, _Made], _Entries]:
+        """``(_incidence, _degrees)`` as rows each vertex makes on first
+        read, for a search that reads few vertices.  Builds neither."""
+        n = len(self.vertices)
+        channels = self._channels()
+        shared = cache(lambda deg: _offsets(deg, n))  # one tuple per distinct degrees
+        degrees = _Made(lambda v: tuple(len(rows[v]) for rows in channels), n)
+        nbrs = _Made(lambda v: tuple(chain.from_iterable(rows[v] for rows in channels)), n)
+        offsets = _Made(lambda v: shared(degrees[v]), n)
+        return (nbrs, offsets), _Entries(degrees)
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -17,10 +17,15 @@ in-degree per color (``ColoredDigraph._degrees``).  That is the partition
 a first round from one class computes, so every later round has the same
 classes and the trace has one entry fewer.  Every automorphism keeps
 degrees, so this seed prunes nothing a search from one class would keep.
-The public ``refine`` still starts from one class.  The incidence they read,
-``ColoredDigraph._incidence``, joins each vertex's rows of every layer,
-out-rows then in-rows; a Hasse digraph's in-rows are its poset's lower
-covers, which minimality and ``isomorphic``'s seeds read too.
+The public ``refine`` still starts from one class.  The incidence they read
+joins each vertex's rows of every layer, out-rows then in-rows; a Hasse
+digraph's in-rows are its poset's lower covers, which minimality and
+``isomorphic``'s seeds read too.  A search with known maps, as verify's
+is, reads the rows of few vertices, so it reads rows that each vertex
+makes on first read and keeps (``ColoredDigraph._on_first_read``); every
+other search reads ``ColoredDigraph._incidence`` and ``_degrees``, built
+for all vertices, as it signs each vertex at least twice.  Both take a
+vertex's offsets from one helper, so they are the same rows.
 
 The search branches on the images of base points.  The left side
 descends once from the root.  At each depth the pivot is the smallest
@@ -230,7 +235,7 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
 
     Each round signs the ``dirty`` vertices and splits each class by rank
     of its members' signatures, as plain color refinement does.  With
-    ``inc`` a digraph's ``_incidence`` (nbrs, offsets), v's signature is
+    ``inc`` a digraph's incidence (nbrs, offsets), v's signature is
     the sorted ``offset + colors[w]`` over its edges to w: class names are
     below n, so these ints sort as (direction, edge color, neighbor class)
     triples would.  A member not re-signed has every neighbor in a split
@@ -471,31 +476,36 @@ class _PairSearch:
     cut short at the goal, is never replayed by a leaf.  The right side
     is refined against the root's trace when an isomorphism is sought; in
     automorphism mode it is the left side, so ``path[d]`` serves both.
+
+    With known maps, as in verify, both sides read one set of rows made
+    on first read, and neither ``_incidence`` nor ``_degrees`` is built.
     """
 
     def __init__(
         self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None, known=()
     ):
         self.n = len(a.vertices)
-        self.inc_a = a._incidence
-        self.inc_b = b._incidence
+        self.known = [tuple(sigma) for sigma in known]
+        if self.known:  # b is a, and the search reads few vertices' rows
+            sides = [a._on_first_read()] * 2
+        else:
+            sides = [(d._incidence, d._degrees) for d in (a, b)]
+        (self.inc_a, degrees_a), (self.inc_b, degrees_b) = sides
         self.out_a = a.out
         self.out_b = b.out
-        self.keys_a = a._degrees if seed_a is None else [seed_a[v] for v in a.vertices]
-        self.keys_b = b._degrees if seed_b is None else [seed_b[v] for v in b.vertices]
+        self.keys_a = degrees_a if seed_a is None else [seed_a[v] for v in a.vertices]
+        self.keys_b = degrees_b if seed_b is None else [seed_b[v] for v in b.vertices]
         # A bijection that carries the arcs keeps the channel degrees, so
         # only seeds the caller gave are checked on each map.
         self.seeded = seed_a is not None or seed_b is not None
-        self.known = [tuple(sigma) for sigma in known]
-        every = list(range(self.n))
         for sigma in self.known:
-            if sorted(sigma) != every or self._accept(sigma) is None:
+            if sorted(sigma) != list(range(self.n)) or self._accept(sigma) is None:
                 raise ValueError("a known map is not an automorphism of the digraph")
-        self.forest, trees = every[:], self.n
         if self.known:
             self.forest, trees = _orbit_forest(self.known, self.n)
             root = _refine_orbits(self.inc_a, self.keys_a, self.forest)
         else:
+            self.forest, trees = list(range(self.n)), self.n
             root = _refine(self.inc_a, self.keys_a)
         self.base, self.path = [], [root]
         while True:
@@ -813,7 +823,7 @@ def _check_generators(space: RealizationSpace) -> list[VertexPerm]:
     vertex = [info for info in space.blocks if info.kind == "vertex"]
     if {info.element for info in vertex} != set(range(group.order)):
         return []
-    every = list(range(len(space.poset.points)))
+    every = space._indices
     owner = [-1] * len(every)
     for info in vertex:
         owner[info.start:info.start + info.size] = [info.element] * info.size

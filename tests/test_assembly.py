@@ -379,6 +379,14 @@ def test_induced_translation_identity_and_shape():
         induced_translation(space, 99)
 
 
+def test_translations_share_one_int_object_per_point():
+    """Every t_s image is sliced from the space's one list of the point
+    indices, so an index is one int object in all of them."""
+    space = build_realization(symmetric(4))
+    images = [induced_translation(space, h) for h in space.group.generators]
+    assert len({id(j) for image in images for j in image}) == len(space.poset.points)
+
+
 def _named_translation(space, h):
     """x -> x*h by block names: block g of each slot to block g*h, same local."""
     group = space.group

@@ -209,6 +209,42 @@ def test_incidence_matches_the_per_arc_builder(named, seeded):
     assert _same_incidence(seeded[0])
 
 
+def _check_rows_on_first_read(d):
+    """Rows made on first read, in reverse index order, are the rows of
+    ``_incidence`` and ``_degrees``, and building them builds neither.  Each
+    is a length-n sequence, before any read too, iterating in index order;
+    the degrees count as ``_degrees`` does, not as a dict's items, and
+    vertices of equal degrees share one offsets tuple."""
+    n = len(d)
+    (nbrs, offsets), degrees = d._on_first_read()
+    made = [(nbrs[v], offsets[v], degrees[v]) for v in reversed(range(n))][::-1]
+    assert "_incidence" not in d.__dict__ and "_degrees" not in d.__dict__
+    eager_nbrs, eager_offsets = d._incidence
+    assert made == list(zip(eager_nbrs, eager_offsets, d._degrees))
+    with pytest.raises(IndexError):
+        nbrs[n]
+    (nbrs, offsets), degrees = d._on_first_read()
+    assert len(nbrs) == len(offsets) == len(degrees) == n
+    assert list(nbrs) == list(eager_nbrs)
+    assert list(offsets) == list(eager_offsets)
+    assert list(degrees) == list(d._degrees)
+    assert Counter(degrees) == Counter(d._degrees)
+    assert len({id(o) for o in offsets}) == len(set(degrees))
+
+
+@given(named_digraphs(), seeded_digraphs())
+def test_rows_made_on_first_read_are_the_incidence(named, seeded):
+    _check_rows_on_first_read(named)
+    _check_rows_on_first_read(seeded[0])
+
+
+@pytest.mark.parametrize(
+    "group", LADDER, ids=["cyclic:12", "cyclic:48", "symmetric:4", "dihedral:24"]
+)
+def test_rows_made_on_first_read_are_the_incidence_of_realization_spaces(group):
+    _check_rows_on_first_read(hasse_digraph(build_realization(group).poset))
+
+
 def test_vertices_of_equal_degrees_share_offsets():
     """One offsets tuple per (out-degree, in-degree) pair: 20 on a 528-point
     realization space."""
