@@ -15,7 +15,6 @@ private ``ColoredDigraph._from_checked``, which checks nothing; only
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
@@ -62,9 +61,9 @@ def _offsets(degrees: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 class _Made(dict):
-    """A length-n sequence whose entry v is ``make(v)``, made on first read
-    and kept: a later read is a dict lookup, in C.  Where a mapping is read
-    by its items (``Counter``), ``_Entries`` wraps it."""
+    """Entry v, for v below n, is ``make(v)``, made on first read and kept:
+    a later read is a dict lookup, in C.  Read by index only: ``len`` and
+    iteration see the entries made so far."""
 
     def __init__(self, make, n: int):
         super().__init__()
@@ -75,25 +74,6 @@ class _Made(dict):
             raise IndexError(v)
         self[v] = entry = self.make(v)
         return entry
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.n))
-
-
-class _Entries(Sequence):
-    """A ``_Made``'s entries as a sequence that is no mapping."""
-
-    def __init__(self, made: _Made):
-        self.made = made
-
-    def __len__(self) -> int:
-        return len(self.made)
-
-    def __getitem__(self, v: int):
-        return self.made[v]
 
 
 def _color(c):
@@ -192,16 +172,17 @@ class ColoredDigraph:
         channels = self._channels()
         return tuple(zip(*(map(len, rows) for rows in channels))) or ((),) * len(self.vertices)
 
-    def _on_first_read(self) -> tuple[tuple[_Made, _Made], _Entries]:
+    def _on_first_read(self) -> tuple[tuple[_Made, _Made], _Made]:
         """``(_incidence, _degrees)`` as rows each vertex makes on first
-        read, for a search that reads few vertices.  Builds neither."""
+        read, so a search that reads few vertices makes few rows.  Builds
+        neither."""
         n = len(self.vertices)
         channels = self._channels()
         shared = cache(lambda deg: _offsets(deg, n))  # one tuple per distinct degrees
         degrees = _Made(lambda v: tuple(len(rows[v]) for rows in channels), n)
         nbrs = _Made(lambda v: tuple(chain.from_iterable(rows[v] for rows in channels)), n)
         offsets = _Made(lambda v: shared(degrees[v]), n)
-        return (nbrs, offsets), _Entries(degrees)
+        return (nbrs, offsets), degrees
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -23,9 +23,11 @@ digraph's in-rows are its poset's lower covers, which minimality and
 ``isomorphic``'s seeds read too.  A search with known maps, as verify's
 is, reads the rows of few vertices, so it reads rows that each vertex
 makes on first read and keeps (``ColoredDigraph._on_first_read``); every
-other search reads ``ColoredDigraph._incidence`` and ``_degrees``, built
-for all vertices, as it signs each vertex at least twice.  Both take a
-vertex's offsets from one helper, so they are the same rows.
+other search signs every vertex at its root, so it reads
+``ColoredDigraph._incidence`` and ``_degrees``, built for all vertices at
+once in C, which is faster there than making the rows one vertex at a
+time.  Both take a vertex's offsets from one helper, so they are the same
+rows.
 
 The search branches on the images of base points.  The left side
 descends once from the root.  At each depth the pivot is the smallest
@@ -478,7 +480,9 @@ class _PairSearch:
     automorphism mode it is the left side, so ``path[d]`` serves both.
 
     With known maps, as in verify, both sides read one set of rows made
-    on first read, and neither ``_incidence`` nor ``_degrees`` is built.
+    on first read, read by index only, and neither ``_incidence`` nor
+    ``_degrees`` is built.  Without them the root signs every vertex, and
+    the eager rows are faster.
     """
 
     def __init__(
