@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -388,6 +389,13 @@ STDOUT_SHA256 = {
         "2cc14515c62fe1637ba6f7e1945c352661c2a36251085e7536856bd942af6cfc",
     "verify cyclic:12":
         "eeec9ff279a6d30cf8a20f0cf5c746d2cfd9b39d73e01810cebdea335746fbbb",
+    # the benchmark's heaviest ops; S4 and D24 print the same report
+    "verify symmetric:4 --budget 2400":
+        "73ca9e28d6ebe194cab022387c6f719f865080b72edb58a220d3e7f80cfc42c8",
+    "verify dihedral:24":
+        "73ca9e28d6ebe194cab022387c6f719f865080b72edb58a220d3e7f80cfc42c8",
+    "build-space symmetric:5 --format json":
+        "0ccdd8c26257b970c64fb9dd489822b7d97b10e1eb888e7dc3dc68902ca3572a",
     "family-check 4":
         "d7e3044412416f4636e5f8aad4eb2b07cf4d56630532519f7cbc175b78c66210",
 }
@@ -439,3 +447,94 @@ def test_repeated_calls_answer_as_a_first_call(capsys):
         for argv, answer in zip(argvs, first):
             assert run(capsys, *argv) == answer, argv
     assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.fixture
+def collector_state():
+    """Give the test's own changes to the cyclic collector back at the end."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "cyclic:12"], 0),
+        (["verify", "symmetric:4", "--budget", "100"], 1),
+        (["verify", "nosuch:3"], 2),
+        (["build-space", "cyclic:3", "--format", "json"], 0),
+        (["build-space", "cyclic:3", "--format", "dot"], 0),
+        (["build-space", "cyclic:3", "--format", "summary"], 0),
+        (["build-fk", "3", "--format", "summary"], 0),
+        (["build-cayley", "dihedral:6", "--format", "dot"], 0),
+        (["family-check", "4"], 0),
+        (["aut", "{dir}/block.json"], 0),
+        (["aut", "{dir}/cayley.json", "--color-edges"], 0),
+        (["aut", "{dir}/cayley.json", "--oracle"], 0),
+    ],
+)
+def test_commands_leave_no_cycles(capsys, tmp_path, collector_state, argv, code):
+    """``main`` pauses the cyclic collector on the premise that commands
+    build no reference cycles: run with the collector paused, a command
+    leaves nothing for ``gc.collect()`` to free.  The calls that write the
+    input files also build the cached parser, whose help formatters hold
+    cycles, once per process; argparse's exit on a parse error or on
+    ``--help`` leaves cycles too, so those are not measured here."""
+    (tmp_path / "block.json").write_text(run(capsys, "build-fk", "2")[1])
+    (tmp_path / "cayley.json").write_text(run(capsys, "build-cayley", "cyclic:4")[1])
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    gc.disable()
+    gc.collect()
+    assert run(capsys, *argv)[0] == code
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, code, verified",
+    [
+        (["verify", "cyclic:3"], 0, 1),
+        (["verify", "symmetric:4", "--budget", "100"], 1, 1),
+        (["verify", "nosuch:3"], 2, 0),
+        (["--help"], 0, 0),
+        (["frobnicate"], 2, 0),
+    ],
+)
+def test_main_pauses_the_collector_and_restores_it(
+    capsys, monkeypatch, collector_state, argv, code, verified, enabled
+):
+    """The collector is off while the command runs and back in the
+    caller's state after it, with each exit code and after argparse's
+    ``SystemExit``."""
+    during = []
+    verify = cli.verify_realization
+    monkeypatch.setattr(
+        cli,
+        "verify_realization",
+        lambda *a, **kw: during.append(gc.isenabled()) or verify(*a, **kw),
+    )
+    (gc.enable if enabled else gc.disable)()
+    assert run(capsys, *argv)[0] == code
+    assert gc.isenabled() is enabled
+    assert during == [False] * verified
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_when_a_command_raises(
+    monkeypatch, collector_state, enabled
+):
+    """An exception that escapes ``main`` leaves the collector as the
+    caller had it."""
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(cli, "verify_realization", crash)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="crash"):
+        main(["verify", "cyclic:3"])
+    assert gc.isenabled() is enabled
