@@ -43,10 +43,14 @@ The descent stops at the first depth whose walk reaches every vertex (at
 once on a discrete partition, which has no pivot), or at a root cut short
 as below; at any other depth it individualizes the pivot and refines one
 level down.  The right digraph is refined against the left path's trace,
-abandoning a branch at the first round that differs.  At the last depth
-the stabilizer of the base is trivial: with the pivot sent to a candidate
-w and each singleton to the right class of its name, the walk run on the
-right side (a pair walk) forces the only map that can extend the branch.
+abandoning a branch at the first round that differs, and stopping before
+the left's last round where that round split nothing after a signing one:
+it only confirms that the classes are equitable, which an isomorphism
+extending the branch makes them on the right too (``_settle``).  At the
+last depth the stabilizer of the base is trivial: with the pivot sent to
+a candidate w and each singleton to the right class of its name, the
+walk run on the right side (a pair walk) forces the only map that can
+extend the branch.
 It replays the left walk's tree under the same bucket keys, sending u, x's
 unique neighbour in bucket k, to the neighbour of x's image in bucket k,
 and does not check that this bucket has one member: an isomorphism
@@ -253,6 +257,27 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
     splitting still counts, so equal traces mean equal class-to-class
     counts.  Returns ((colors, cells), trace), or None at the first round
     whose entry differs from ``target``'s.
+
+    Against a target whose last entry splits nothing and follows at least
+    one signing round (``len(target) > 2``), the state is returned once
+    every other entry has matched, and the round that would match the
+    last is skipped.  A last entry that splits nothing also means the left
+    side did not become discrete there: the round that makes a partition
+    discrete ends its trace.  The lemma: the left state before its last
+    round is equitable, as that round split nothing.  Refinement commutes
+    with relabelling, so an isomorphism that extends the branch (one that
+    keeps the seed keys, or sends the split vertex to the right one) maps
+    each left class onto the right class of the same name; it carries the
+    left's equitable partition onto the right's state, which is then
+    equitable, so the skipped round would split nothing and leave
+    ``cells`` as they are.  Where no isomorphism extends the branch, that
+    round could have refuted it sooner; every map the search emits is
+    still edge-, injectivity- and seed-tested (``_PairSearch._accept``),
+    so the search returns the same maps.  The guard keeps at least one
+    signing round, so that it still prunes: from a seed that one round
+    leaves whole, the right side would sign nothing, and a same-shape pair
+    whose arcs spread differently over the classes would reach the leaves
+    unrefuted.
     """
     trace: list = []
     nbrs, offsets = inc
@@ -267,6 +292,8 @@ def _settle(inc, colors: list[int], cells: dict, dirty, entry, target):
         trace.append(entry)
         if len(cells) == len(colors) or (len(trace) > 1 and not entry[0]):
             return (colors, cells), trace
+        if target is not None and len(trace) + 1 == len(target) > 2 and not target[-1][0]:
+            return (colors, cells), trace  # the left's last round split nothing
         touched: dict[int, list[int]] = {}
         for v in dirty:
             touched.setdefault(colors[v], []).append(v)
@@ -463,15 +490,15 @@ def _orbit_forest(maps: list[VertexPerm], n: int) -> tuple[list[int], int]:
 class _PairSearch:
     """Isomorphism / automorphism search between two colored digraphs.
 
-    A side without a seed is seeded by its channel degrees.  The
-    constructor checks the ``known`` automorphisms (automorphism mode
-    only), labels their orbits as a flat union-find forest, refines the
-    left root on the quotient by its trees, and descends from it.
-    ``path[d]`` is the left side's ((colors, cells), trace) after
-    individualizing ``base[:d]``, and ``base[d]`` is the pivot of
-    ``path[d]``.  ``tree`` is the walk of the last depth, the first one
-    complete; ``base`` ends with that depth's pivot, or is one shorter
-    than ``path`` when ``path[-1]`` is discrete.  Only a root with
+    Seed keys are listed by vertex index; a side without them is seeded
+    by its channel degrees.  The constructor checks the ``known``
+    automorphisms (automorphism mode only), labels their orbits as a flat
+    union-find forest, refines the left root on the quotient by its
+    trees, and descends from it.  ``path[d]`` is the left side's ((colors,
+    cells), trace) after individualizing ``base[:d]``, and ``base[d]`` is
+    the pivot of ``path[d]``.  ``tree`` is the walk of the last depth, the
+    first one complete; ``base`` ends with that depth's pivot, or is one
+    shorter than ``path`` when ``path[-1]`` is discrete.  Only a root with
     ``len(cells) == trees`` gives its walk a goal, the pivot's images
     under the known maps; its classes are then the trees, so the pivot's
     class is its tree, depth 0 tries no candidate, and the tree, possibly
@@ -486,7 +513,7 @@ class _PairSearch:
     """
 
     def __init__(
-        self, a: ColoredDigraph, b: ColoredDigraph, seed_a=None, seed_b=None, known=()
+        self, a: ColoredDigraph, b: ColoredDigraph, keys_a=None, keys_b=None, known=()
     ):
         self.n = len(a.vertices)
         self.known = [tuple(sigma) for sigma in known]
@@ -497,11 +524,11 @@ class _PairSearch:
         (self.inc_a, degrees_a), (self.inc_b, degrees_b) = sides
         self.out_a = a.out
         self.out_b = b.out
-        self.keys_a = degrees_a if seed_a is None else [seed_a[v] for v in a.vertices]
-        self.keys_b = degrees_b if seed_b is None else [seed_b[v] for v in b.vertices]
+        self.keys_a = degrees_a if keys_a is None else keys_a
+        self.keys_b = degrees_b if keys_b is None else keys_b
         # A bijection that carries the arcs keeps the channel degrees, so
-        # only seeds the caller gave are checked on each map.
-        self.seeded = seed_a is not None or seed_b is not None
+        # only seed keys the caller gave are checked on each map.
+        self.seeded = keys_a is not None or keys_b is not None
         for sigma in self.known:
             if sorted(sigma) != list(range(self.n)) or self._accept(sigma) is None:
                 raise ValueError("a known map is not an automorphism of the digraph")
@@ -682,12 +709,23 @@ def isomorphism_between(
     """A color- and edge-preserving vertex bijection a -> b, or None.
 
     Optional seeds are vertex colorings (hashable, comparable values, shared
-    between the two sides) that any bijection must respect.
+    between the two sides) that any bijection must respect, each a mapping
+    from vertex name or a list in vertex order.
     """
-    sigma = _PairSearch(a, b, seed_a, seed_b).find_isomorphism()
+    keys_a, keys_b = _seed_keys(a, seed_a), _seed_keys(b, seed_b)
+    sigma = _PairSearch(a, b, keys_a, keys_b).find_isomorphism()
     if sigma is None:
         return None
-    return {a.vertices[v]: b.vertices[sigma[v]] for v in range(len(a.vertices))}
+    return dict(zip(a.vertices, map(b.vertices.__getitem__, sigma)))
+
+
+def _seed_keys(d: ColoredDigraph, seed) -> list | None:
+    """A seed's keys in vertex order: a list as it is, a mapping by name."""
+    if not isinstance(seed, list):
+        return None if seed is None else [seed[v] for v in d.vertices]
+    if len(seed) != len(d.vertices):
+        raise ValueError(f"a seed list needs {len(d.vertices)} keys, one per vertex")
+    return seed
 
 
 def isomorphic(p: Poset, q: Poset) -> dict[str, str] | None:
@@ -695,17 +733,15 @@ def isomorphic(p: Poset, q: Poset) -> dict[str, str] | None:
 
     Any cover-preserving digraph isomorphism preserves levels, so the
     search runs over the Hasse digraphs seeded by (level, in, out) degree
-    triples.
+    triples.  Posets whose triples differ as multisets are refused before
+    either digraph is built.
     """
-    if len(p.points) != len(q.points) or sum(map(len, p.up)) != sum(map(len, q.up)):
-        return None
-    if sorted(p._levels) != sorted(q._levels):
-        return None
-    seed_p, seed_q = (
-        dict(zip(r.points, zip(r._levels, map(len, r._down), map(len, r.up))))
-        for r in (p, q)
+    keys_p, keys_q = (
+        list(zip(r._levels, map(len, r._down), map(len, r.up))) for r in (p, q)
     )
-    return isomorphism_between(hasse_digraph(p), hasse_digraph(q), seed_p, seed_q)
+    if Counter(keys_p) != Counter(keys_q):
+        return None
+    return isomorphism_between(hasse_digraph(p), hasse_digraph(q), keys_p, keys_q)
 
 
 # -- end-to-end verification -------------------------------------------

@@ -408,6 +408,21 @@ def test_stdout_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
+def test_aut_of_the_plain_klein_cayley_graph_is_pinned(capsys, tmp_path):
+    """The sha256 of ``finspace aut`` on the Klein four-group Cayley graph,
+    a 4-cycle once its colors are dropped: the one pinned search that
+    descends past the root, so its right side refines splits against the
+    left path's trace."""
+    code, out, _ = run(capsys, "build-cayley", "perm:[[1,0,3,2],[2,3,0,1]]", "--format", "json")
+    path = tmp_path / "klein.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "aut", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9dedde93d24b4517b2d3640f755d09a7f33dfe8b2adddf34244ea651ef9e5906"
+    )
+
+
 def test_realization_sweep_script_passes():
     """scripts/realization_sweep.py runs every small group through the
     pipeline, the redundant generating set of cyclic:3 included."""
