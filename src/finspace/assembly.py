@@ -5,9 +5,11 @@ block-level connections, where a connection draws a complete bipartite
 set of covers from the last level of the lower block to the first level
 of the upper block.
 
-Whether the result is a poset depends only on the blocks and the
-connections, so ``assemble`` checks the block quotient (one point per
-block, one cover per connection) in place of the assembled covers.  If
+``assemble`` numbers the blocks and hands them, with the rows of the
+block quotient (one point per block, one cover per connection), to one
+laying core, ``_lay``, which works by block index alone.  Whether the
+result is a poset depends only on the blocks and the connections, so
+``_lay`` checks the block quotient in place of the assembled covers.  If
 the quotient is a poset and the assembled names are distinct, the
 assembled pairs are exactly a covering relation: a point cycle or a
 longer point chain between the ends of a connection projects onto a
@@ -19,8 +21,17 @@ is implied by a point chain through M.  A point's level is its block's
 offset, the longest path into the block weighted by block heights, plus
 its level inside the block.
 
-A construction lays many copies of few blocks, so ``assemble`` reads
-each distinct block object once, into a template, and lays every copy
+The names need no set either.  The quotient ``Poset`` has checked that
+the block names are distinct strings, and each block, a ``Poset``, that
+its point names are distinct.  So if no block name contains "/", the
+first "/" of an assembled name "<block>/<point>" ends the block's name,
+the name gives back its block and its point, and the assembled names are
+distinct.  A block name with "/" can collide (block "a" with point "q/p0"
+and block "a/q" with point "p0" both lay "a/q/p0"), so then the
+assembled names are checked as a set.
+
+A construction lays many copies of few blocks, so ``_lay`` reads each
+distinct block object once, into a template, and lays every copy
 from it.  One list holds the point indices, and a copy filling
 ``index[start:start + size]`` takes its rows in one C-level gather of
 that slice, cut back into rows at the template's row ends.  Entry i of
@@ -31,13 +42,16 @@ int object per point.
 On top of it sits ``build_realization``: given a finite group with
 generators, it lays one degree-0 block per group element and, per colored
 Cayley edge, one edge block plus two flanking second-story blocks whose
-family indices encode the edge color and its orientation.  The resulting
-four-level poset is minimal and its Hasse-digraph automorphism group
-reproduces the group.  The space keeps one record per block
-(``BlockInfo``): kind, family, element and target indices, colour, and
-the range of point indices the block fills.  So ``induced_translation``
-is one index range per block, the range of the block of the same slot
-at g*h, and no point is looked up by name; names are for I/O.
+family indices encode the edge color and its orientation.  That layout is
+regular, so the block records and the block quotient are written in
+closed form from the generators' rows and passed to ``_lay`` by index,
+with no connection named.  The resulting four-level poset is minimal and
+its Hasse-digraph automorphism group reproduces the group.  The space
+keeps one record per block (``BlockInfo``): kind, family, element and
+target indices, colour, and the range of point indices the block fills.
+So ``induced_translation`` is one index range per block, the range of
+the block of the same slot at g*h, and no point is looked up by name;
+names are for I/O.
 """
 
 from __future__ import annotations
@@ -98,19 +112,13 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
     and listed block by block in dict order, plus the complete bipartite
     covers demanded by each (lower, upper) connection.
 
-    Each distinct block object is read once, into a template kept for this
-    call only, and every copy of it is laid from that template by one
-    gather from the list of point indices.  A last-level row is
-    empty in its block, as no point covers a top point; it becomes the
-    copy's covers in the upper blocks, taken in block order.  So rows come
-    out sorted.  The output is certified as the module docstring says: if
-    the quotient ``Poset`` on the block names and the connections is valid
-    and the point names are distinct, the points' levels are the block
-    offsets plus the levels inside the blocks, and nothing is checked
-    point by point.  Otherwise (a block connected to itself, a cycle, a
-    connection implied through other blocks, a duplicate name, or a block
-    name that is not a str) ``Poset`` checks the same rows and names the
-    fault."""
+    The blocks are numbered in dict order and the connections become the
+    rows of the block quotient, each the sorted numbers of the blocks above
+    one block.  ``_lay`` lays the points from them and certifies them on
+    the quotient, as the module docstring says.  Where that fails (a block
+    connected to itself, a cycle, a connection implied through other
+    blocks, a duplicate name, or a block name that is not a str) ``Poset``
+    checks the assembled rows and names the fault."""
     for lo, hi in connections:
         if lo not in blocks or hi not in blocks:
             raise ValueError(f"connection ({lo!r}, {hi!r}) names an unknown block")
@@ -119,10 +127,29 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
     for lo, hi in connections:
         above[order[lo]].append(order[hi])
     quotient_up = tuple(tuple(sorted(ks)) for ks in above)
+    return _lay(tuple(blocks), list(blocks.values()), quotient_up)
+
+
+def _lay(names: tuple, blocks: list[Poset], quotient_up: tuple[tuple[int, ...], ...]) -> Poset:
+    """Block i, named ``names[i]``, laid as points ``"<names[i]>/<point>"``
+    in block order, its last level covered by the first level of each block
+    in ``quotient_up[i]``, which lists them in increasing order.
+
+    Each distinct block object is read once, into a template kept for this
+    call only, and every copy of it is laid from that template by one
+    gather from the list of point indices.  A last-level row is empty in
+    its block, as no point covers a top point; it becomes the copy's covers
+    in the upper blocks, taken in block order.  So rows come out sorted.
+    The output is certified as the module docstring says: if the quotient
+    ``Poset`` on the names and ``quotient_up`` is valid and the point names
+    are distinct, which no block name without "/" leaves in doubt, the
+    points' levels are the block offsets plus the levels inside the
+    blocks, and nothing is checked point by point.  Otherwise ``Poset``
+    checks the rows and names the fault."""
     points: list[str] = []
     templates: dict[int, _Template] = {}  # by id: blocks are often one shared object
     starts, copies = [], []
-    for bname, block in blocks.items():
+    for bname, block in zip(names, blocks):
         if not block.points:
             raise ValueError(f"empty block {bname!r}")
         starts.append(len(points))
@@ -141,10 +168,11 @@ def assemble(blocks: dict[str, Poset], connections: set[tuple[str, str]]) -> Pos
             rows[j] = cross
         up.extend(rows)
     try:
-        quotient = Poset(tuple(blocks), quotient_up)
+        quotient = Poset(names, quotient_up)
     except ValueError:
         quotient = None
-    if quotient is None or len(set(points)) != len(points):
+    # a name's first "/" ends its block's name, unless a block name holds one
+    if quotient is None or ("/" in "".join(names) and len(set(points)) != len(points)):
         return Poset(tuple(points), tuple(up))
     offsets = [0] * len(quotient_up)
     for i in sorted(range(len(offsets)), key=quotient._levels.__getitem__):
@@ -221,11 +249,6 @@ def predicted_point_count(group: FiniteGroup) -> int:
     return 8 * group.order + group.order * per_edge_colors
 
 
-def _block_names(group: FiniteGroup, k: int, g: int) -> tuple[str, str, str]:
-    name = group.elements[g]
-    return f"edge{k}[{name}]", f"src{k}[{name}]", f"dst{k}[{name}]"
-
-
 def build_realization(group: FiniteGroup) -> RealizationSpace:
     """Assemble the four-level realization space for the given group.
 
@@ -234,38 +257,49 @@ def build_realization(group: FiniteGroup) -> RealizationSpace:
     second story a start block of family n+k above the vertex block of g
     and the edge block, plus an end block of family 2n+k above the vertex
     block of g_k*g and the edge block.
+
+    Blocks are numbered in the order their points are laid: the vertex
+    block of g is block g, and per color k the edge, start and end blocks
+    of each element g in turn, so the edge block of (k, g) is block
+    e = |G|(3k - 2) + 3g, its start block e + 1 and its end block e + 2.
+    The records and the block quotient follow from that numbering, the
+    block sizes and the generators' rows alone, and go to ``_lay`` by
+    index: vertex block g lies below the start block of (k, g) and below
+    the end block of (k, h) for each h with row_k[h] = g, each edge block
+    below its own start and end blocks, and the second story below
+    nothing.  No block is looked up by name.
     """
-    n = len(group.generators)
+    order, n = group.order, len(group.generators)
     family = [asymmetric_block(k) for k in range(3 * n + 1)]  # immutable, shared
-    blocks: dict[str, Poset] = {}
-    records: list[BlockInfo] = []
-    connections: set[tuple[str, str]] = set()
-
-    def add(kind: str, fam: int, name: str, g: int, color=None, target=None) -> None:
-        # assemble lists the points block by block, in the order they are added
-        start = records[-1].start + records[-1].size if records else 0
-        blocks[name] = family[fam]
-        records.append(
-            BlockInfo(kind, fam, name, g, color, target, start, len(family[fam].points))
-        )
-
-    def vert_name(g: int) -> str:
-        return f"vert[{group.elements[g]}]"
-
-    for g in range(group.order):
-        add("vertex", 0, vert_name(g), g)
+    thrice = [g for g in range(order) for _ in range(3)]  # an edge's three blocks
+    kinds, fams, elements = ["vertex"] * order, [0] * order, list(range(order))
+    colors, targets = [None] * order, [None] * order
+    names = [f"vert[{x}]" for x in group.elements]
+    above: list[list[int]] = [[] for _ in range(order)]
+    edge_rows: list[tuple[int, ...]] = []  # the quotient rows of each edge's three blocks
     for k, row in enumerate(group.rows, start=1):
-        for g, target in enumerate(row):
-            e_name, s_name, d_name = _block_names(group, k, g)
-            add("edge", k, e_name, g, k, target)
-            add("start", n + k, s_name, g, k, target)
-            add("end", 2 * n + k, d_name, g, k, target)
-            connections.add((vert_name(g), s_name))
-            connections.add((e_name, s_name))
-            connections.add((vert_name(target), d_name))
-            connections.add((e_name, d_name))
-
-    poset = assemble(blocks, connections)
+        edge = len(names)  # block e of (k, 0)
+        kinds += ("edge", "start", "end") * order
+        fams += (k, n + k, 2 * n + k) * order
+        elements += thrice
+        colors += [k] * (3 * order)
+        targets += map(row.__getitem__, thrice)
+        names += chain.from_iterable(
+            (f"edge{k}[{x}]", f"src{k}[{x}]", f"dst{k}[{x}]") for x in group.elements
+        )
+        for g in range(order):
+            above[g].append(edge + 3 * g + 1)
+        for h, g in enumerate(row):
+            above[g].append(edge + 3 * h + 2)
+        edge_rows += chain.from_iterable(
+            ((e + 1, e + 2), (), ()) for e in range(edge, edge + 3 * order, 3)
+        )
+    blocks = list(map(family.__getitem__, fams))
+    sizes = [len(block.points) for block in blocks]
+    starts = accumulate(sizes, initial=0)
+    records = map(BlockInfo, kinds, fams, names, elements, colors, targets, starts, sizes)
+    quotient_up = (*(tuple(sorted(ks)) for ks in above), *edge_rows)
+    poset = _lay(tuple(names), blocks, quotient_up)
     return RealizationSpace(poset=poset, blocks=tuple(records), group=group)
 
 

@@ -72,15 +72,16 @@ further map exists, the upper bound, is still decided by the search alone.
 They also shrink the root refinement.  Let H be the group the known maps
 generate.  H keeps the seed keys, so every round's colors are H-invariant
 and the root is refined on the quotient by the H-orbits, one vertex per
-orbit (``_refine_orbits``).  A discrete quotient has the H-orbits as its
-classes, and an orbit partition is equitable, so the quotient's colors are
-always those of the per-vertex refinement run to the end.  Verify's root,
-the translation orbits, takes two rounds from the degree seed (four from
-one class) and signs one vertex per orbit: on a cyclic space that is 44
-vertices, whatever |G|.  The walk needs an equitable partition, as every
-state it is handed is, on which the bucket keys that two neighbours share
-are the same for every member of a class, so it finds them once per
-class.  At a root whose classes are the known orbits (as many classes as
+orbit, and lifted back one orbit at a time from the member lists that
+labelling the orbits walks (``_refine_orbits``).  A discrete quotient has
+the H-orbits as its classes, and an orbit partition is equitable, so the
+quotient's colors are always those of the per-vertex refinement run to
+the end.  Verify's root, the translation orbits, takes two rounds from
+the degree seed (four from one class) and signs one vertex per orbit: on
+a cyclic space that is 44 vertices, whatever |G|.  The walk needs an
+equitable partition, as every state it is handed is, on which the bucket
+keys that two neighbours share are the same for every member of a class,
+so it finds them once per class.  At a root whose classes are the known orbits (as many classes as
 trees), the walk from the pivot v stops once it has reached t(v) for each
 known map t and a member of every class: what the full walk reaches is
 then H-invariant and meets every H-orbit, so it is every vertex
@@ -183,12 +184,14 @@ def _refine(inc, keys: list, target: list | None = None):
     return _settle(inc, colors, cells, range(len(keys)), entry, target)
 
 
-def _refine_orbits(inc, keys: list, label: list[int]):
+def _refine_orbits(inc, keys: list, label: list[int], orbits: list[list[int]]):
     """``_refine``'s stable coloring, and a trace counted in orbits, found on
     the quotient by the orbits of a group H of automorphisms that keep the
     keys (the root's known maps, edge-tested and, when seeded,
     seed-tested).  ``label`` names each vertex's orbit by its smallest
-    vertex, as ``_orbit_forest`` does.
+    vertex, and ``orbits`` lists each orbit's members, led by that vertex
+    and otherwise in any order, the orbits in the order of their labels, as
+    ``_orbit_forest`` gives them.
 
     Every round's colors are H-invariant: colors[h(v)] = colors[v] for
     every h in H and every v.  It holds at round 0, as h keeps the keys;
@@ -201,23 +204,29 @@ def _refine_orbits(inc, keys: list, label: list[int]):
     digraph's once counted in vertices.  The quotient stops once it is
     discrete, when the classes are the H-orbits: an orbit partition is
     equitable, so a round on the digraph would split nothing either.
+
+    The quotient's classes are lifted per orbit, not per vertex: a class
+    counts the members of its orbits, each leader takes its class's name,
+    which one gather over ``label`` passes to every vertex, and each class
+    lists its orbits' members in one sort, so in index order, the classes
+    keyed in the quotient's order.
     """
     nbrs, offsets = inc
-    reps = [v for v, r in enumerate(label) if v == r]
+    reps = [members[0] for members in orbits]
     index = {r: i for i, r in enumerate(reps)}
-    orbit = list(map(index.__getitem__, label))
-    quotient = [list(map(orbit.__getitem__, nbrs[r])) for r in reps]
+    quotient = [list(map(index.__getitem__, map(label.__getitem__, nbrs[r]))) for r in reps]
     found = _refine((quotient, [offsets[r] for r in reps]), [keys[r] for r in reps])
     (classes, members), trace = found
-    size = Counter(orbit)
     start, at = {}, 0
     for c in sorted(members):
         start[c] = at
-        at += sum(map(size.__getitem__, members[c]))
-    colors = [start[classes[i]] for i in orbit]
-    cells: dict[int, list[int]] = {start[c]: [] for c in members}
-    for v, c in enumerate(colors):
-        cells[c].append(v)
+        at += sum(map(len, map(orbits.__getitem__, members[c])))
+    named = {r: start[c] for r, c in zip(reps, classes)}
+    colors = list(map(named.__getitem__, label))
+    cells = {
+        start[c]: sorted(chain.from_iterable(map(orbits.__getitem__, part)))
+        for c, part in members.items()
+    }
     return (colors, cells), trace
 
 
@@ -466,16 +475,16 @@ def _join(parent: list[int], sigma: VertexPerm) -> None:
         parent[_find(parent, x)] = _find(parent, y)
 
 
-def _orbit_forest(maps: list[VertexPerm], n: int) -> tuple[list[int], int]:
+def _orbit_forest(maps: list[VertexPerm], n: int) -> tuple[list[int], list[list[int]]]:
     """The orbits of the group the maps generate, as a flat union-find
     forest (each vertex labelled by the smallest vertex of its orbit, which
-    is its own root) found in one pass over the maps' images, and their
-    count."""
+    is its own root) found in one pass over the maps' images, and the
+    orbits' member lists that pass walks, in the order of their labels,
+    each in the order it was reached, from its label on."""
     forest = [-1] * n
-    trees = 0
+    orbits = []
     for r in range(n):
         if forest[r] < 0:
-            trees += 1
             forest[r] = r
             orbit = [r]
             for x in orbit:
@@ -484,7 +493,8 @@ def _orbit_forest(maps: list[VertexPerm], n: int) -> tuple[list[int], int]:
                     if forest[y] < 0:
                         forest[y] = r
                         orbit.append(y)
-    return forest, trees
+            orbits.append(orbit)
+    return forest, orbits
 
 
 class _PairSearch:
@@ -533,8 +543,9 @@ class _PairSearch:
             if sorted(sigma) != list(range(self.n)) or self._accept(sigma) is None:
                 raise ValueError("a known map is not an automorphism of the digraph")
         if self.known:
-            self.forest, trees = _orbit_forest(self.known, self.n)
-            root = _refine_orbits(self.inc_a, self.keys_a, self.forest)
+            self.forest, orbits = _orbit_forest(self.known, self.n)
+            trees = len(orbits)
+            root = _refine_orbits(self.inc_a, self.keys_a, self.forest, orbits)
         else:
             self.forest, trees = list(range(self.n)), self.n
             root = _refine(self.inc_a, self.keys_a)
@@ -753,6 +764,7 @@ class RealizationReport:
 
     group_order: int
     generator_count: int
+    generator_names: tuple[str, ...]
     point_count: int
     cover_count: int
     inventory: tuple[tuple[int, int], ...]
@@ -775,6 +787,7 @@ class RealizationReport:
             f"{self.generator_count} generator(s)",
             f"points: {self.point_count}, covers: {self.cover_count}",
             f"blocks: {blocks}",
+            f"generators: {', '.join(self.generator_names)}",
             f"minimal (no beat points): {'PASS' if self.minimal else 'FAIL'}",
             f"generator translations t_s: {self.generators_valid}/"
             f"{self.generator_count} automorphisms taking vertex block g to g*s: "
@@ -843,6 +856,7 @@ def verify_realization(
     return RealizationReport(
         group_order=group.order,
         generator_count=len(group.generators),
+        generator_names=tuple(map(group.elements.__getitem__, group.generators)),
         point_count=len(x.points),
         cover_count=sum(map(len, x.up)),
         inventory=tuple(space.block_inventory().items()),

@@ -7,8 +7,9 @@ for ``make_poset``, which takes covers by name.  The one order structure
 kept is each point's level, from one topological walk; the covering check
 walks upward from a few points, no higher than a level bound, and on a
 graded poset it walks nowhere.  ``Poset(...)`` validates every input;
-``assembly.assemble``, which certifies its output on the block quotient,
-enters through the private ``Poset._from_checked``.
+``assembly._lay``, which lays ``assemble``'s and ``build_realization``'s
+blocks and certifies its output on the block quotient, enters through the
+private ``Poset._from_checked``.
 All values are immutable; every operation below is a pure function, so
 posets can be shared freely across threads.  Poset isomorphism is a
 digraph search and lives with the search, in ``engine``.
@@ -77,7 +78,7 @@ class Poset:
         this constructor does not repeat: ``points`` is a tuple of distinct
         str, ``up`` has passed ``_check_rows`` and is exactly the covering
         relation of an order, and ``levels`` is the tuple ``_levels`` would
-        compute from it.  Only ``assembly.assemble`` calls it, after its
+        compute from it.  Only ``assembly._lay`` calls it, after its
         block-quotient certificate."""
         p = object.__new__(cls)
         object.__setattr__(p, "points", points)

@@ -202,17 +202,17 @@ def test_criterion_8_property_suites():
 # 1, i, j, k, -1, -i, -j, -k by left multiplication by i and j.
 CORPUS = {
     "Q8": ("[[1,4,3,6,5,0,7,2],[2,7,4,1,6,3,0,5]]",
-           "6c93e5bcad19a22bd487ddbdf35e37e7a02ec6328b8bb652b7485f7e62a2d49d"),
+           "fdf485058ee9c94cbd04b8212781de8558a606321146f43262e9d625c71502fe"),
     "A4": ("[[1,2,0,3],[0,2,3,1]]",
-           "2be4d5c52978a79ff6be1c94f3f5f29cdd3dd2fed8688350ca4d80fd2ab7cdc3"),
+           "bd4af0d43374139e6502b13480d2ebb36be1844bf1a530c154c0450b37c502a5"),
     "C7:C3": ("[[1,2,3,4,5,6,0],[0,2,4,6,1,3,5]]",
-              "93d02b36175bc33f7deeca452a2e2c999fc994d3f0856fb17af6006bf5eaea8d"),
+              "c9882407d244d6713d0b89c60d642587b1533772843e66433b46764fe5afbbbe"),
     "A5": ("[[1,2,3,4,0],[1,2,0,3,4]]",
-           "e7197ab863cee84f776f638134f63c3132ec85679f274abe15c79e07e34c4d8f"),
+           "fda62a37ebbfa2d0c9bbc3568ecead934864a7089497577e4624d4ee03a1ddb3"),
     "C2^4": ("[[1,0,2,3,4,5,6,7],[0,1,3,2,4,5,6,7],[0,1,2,3,5,4,6,7],[0,1,2,3,4,5,7,6]]",
-             "7a0322bde811b6a86fbf827cacf3fb04f961df07c15bf3e897d618260e43f65d"),
+             "8be8d7cb45447e2830f91dde47f66fbe548e3da654f447c8814fb4eee4db7603"),
     "S4 by transpositions": ("[[1,0,2,3],[0,2,1,3],[0,1,3,2]]",
-                             "f1d688e687211eb0fcdfe0997efffe3267e4ee8c66af60a21a3389386aca24dd"),
+                             "b744001903dc8e9922ae3daa986045951e82eda67eb5c8f79581afd46fa325ad"),
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import closure_from_pairs, covers_from_closure, full_table, level_of, random_poset
 from test_acceptance import CORPUS
 from finspace import (
+    FiniteGroup,
     Poset,
     RealizationSpace,
     asymmetric_block,
@@ -21,6 +22,7 @@ from finspace import (
     induced_translation,
     isomorphic,
     is_minimal,
+    klein_four,
     make_poset,
     predicted_point_count,
     right_translation,
@@ -163,6 +165,18 @@ def test_assemble_matches_the_point_level_builder(case):
     )
 
 
+def test_assemble_checks_names_when_a_block_name_holds_a_slash():
+    """Block "a" with point "q/p0" and block "a/q" with point "p0" both lay
+    the name "a/q/p0": with a "/" in a block name, distinct block names and
+    distinct point names no longer make the laid names distinct, so the
+    names are checked, and the collision is refused as the point-level
+    builder refuses it."""
+    blocks = {"a": make_poset(["q/p0"], []), "a/q": make_poset(["p0"], [])}
+    message = _outcome(_reference_assemble, blocks, set())
+    assert message == "duplicate point identifiers"
+    assert _outcome(assemble, blocks, set()) == message
+
+
 def test_assembled_levels_add_block_heights():
     """A block's offset is the longest path into it weighted by block
     heights, not its quotient level times one height."""
@@ -258,6 +272,70 @@ def test_block_names_need_not_be_str(monkeypatch):
 
 
 # -- realization space --------------------------------------------------------
+
+
+def _reference_build_realization(group):
+    """The realization space laid by name: its blocks added one by one, per
+    element and then per Cayley edge, with four named connections per
+    edge, through the public ``assemble``, and each record starting where
+    the one before it ends."""
+    n = len(group.generators)
+    family = [asymmetric_block(k) for k in range(3 * n + 1)]
+    blocks, records, connections = {}, [], set()
+
+    def add(kind, fam, name, g, color=None, target=None):
+        start = records[-1].start + records[-1].size if records else 0
+        blocks[name] = family[fam]
+        size = len(family[fam].points)
+        records.append(assembly.BlockInfo(kind, fam, name, g, color, target, start, size))
+
+    vert = [f"vert[{x}]" for x in group.elements]
+    for g in range(group.order):
+        add("vertex", 0, vert[g], g)
+    for k, row in enumerate(group.rows, start=1):
+        for g, target in enumerate(row):
+            x = group.elements[g]
+            edge, src, dst = f"edge{k}[{x}]", f"src{k}[{x}]", f"dst{k}[{x}]"
+            add("edge", k, edge, g, k, target)
+            add("start", n + k, src, g, k, target)
+            add("end", 2 * n + k, dst, g, k, target)
+            connections |= {(vert[g], src), (edge, src), (vert[target], dst), (edge, dst)}
+    return RealizationSpace(assemble(blocks, connections), tuple(records), group)
+
+
+def _slashed_cyclic3():
+    """Z/3 whose element names hold "/", so every block name does too."""
+    names = ("e", "a/1", "a/2")
+    table = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
+    return FiniteGroup(names, table, 0, (1,))
+
+
+_LAID = {
+    "cyclic:2": lambda: cyclic(2),
+    "cyclic:12": lambda: cyclic(12),
+    "klein_four": klein_four,
+    "dihedral:8": lambda: dihedral(8),
+    "symmetric:3": lambda: symmetric(3),
+    "symmetric:4": lambda: symmetric(4),
+    "perm:three-transpositions": lambda: group_from_permutations(
+        [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]]
+    ),
+    "slashed-cyclic:3": _slashed_cyclic3,
+}
+
+
+@pytest.mark.parametrize("name", _LAID)
+def test_build_realization_lays_the_blocks_as_assemble_does(name):
+    """The records and block quotient laid by index in closed form give the
+    points, rows, levels and records that laying the same blocks and named
+    connections through ``assemble`` gives; with "/" in the block names
+    the point names are checked as a set, and come out the same."""
+    group = _LAID[name]()
+    got, expected = build_realization(group), _reference_build_realization(group)
+    assert got.poset.points == expected.poset.points
+    assert got.poset.up == expected.poset.up
+    assert got.poset._levels == expected.poset._levels
+    assert got.blocks == expected.blocks
 
 
 def test_sizes_for_cyclic3_and_dihedral6():

@@ -1173,7 +1173,9 @@ def _per_vertex_root(call):
         mp.setattr(
             engine,
             "_refine_orbits",
-            lambda inc, keys, label: engine._refine(inc, [keys[v] for v in range(len(label))]),
+            lambda inc, keys, label, orbits: engine._refine(
+                inc, [keys[v] for v in range(len(label))]
+            ),
         )
         return call()
 
@@ -1243,17 +1245,58 @@ def test_known_maps_must_keep_the_seed():
 # -- work per orbit at the root, per class in the walk -------------------------
 
 
+def _orbit_lists(label: list[int]) -> list[list[int]]:
+    """The members of each orbit named by label, in index order, so each
+    list starts at its label, the lists in the order of their labels."""
+    orbits: dict[int, list[int]] = {}
+    for v, r in enumerate(label):
+        orbits.setdefault(r, []).append(v)
+    return [orbits[r] for r in sorted(orbits)]
+
+
+def _lift_per_vertex(inc, keys, label):
+    """``_refine_orbits`` as it lifted the quotient's classes vertex by
+    vertex: class sizes counted over every vertex's orbit, each vertex's
+    color looked up through its orbit, and each vertex appended to its
+    class in index order, the classes keyed in the quotient's order."""
+    nbrs, offsets = inc
+    reps = [v for v, r in enumerate(label) if v == r]
+    index = {r: i for i, r in enumerate(reps)}
+    orbit = list(map(index.__getitem__, label))
+    quotient = [list(map(orbit.__getitem__, nbrs[r])) for r in reps]
+    found = engine._refine((quotient, [offsets[r] for r in reps]), [keys[r] for r in reps])
+    (classes, members), trace = found
+    size = Counter(orbit)
+    start, at = {}, 0
+    for c in sorted(members):
+        start[c] = at
+        at += sum(map(size.__getitem__, members[c]))
+    colors = [start[classes[i]] for i in orbit]
+    cells: dict[int, list[int]] = {start[c]: [] for c in members}
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return (colors, cells), trace
+
+
 def _check_root_per_orbit(d, seed, known):
     """The root refined on the quotient by the known maps' orbits is the
     root refined by signing every vertex, run to the end: the same colors,
     and the same classes in the same key order, each listed in index order.
-    Its classes are the reference's, and it takes no more rounds."""
+    Its classes are the reference's, and it takes no more rounds.  Lifted
+    per orbit, from the orbit lists in any order within an orbit, it is
+    the lift vertex by vertex, keys in the same order."""
     keys = d._degrees if seed is None else [seed[v] for v in d.vertices]
     label = _orbit_reps(known, len(d.vertices))
-    (colors, cells), trace = engine._refine_orbits(d._incidence, keys, label)
+    orbits = _orbit_lists(label)
+    (colors, cells), trace = engine._refine_orbits(d._incidence, keys, label, orbits)
     (full_colors, full_cells), full_trace = engine._refine(d._incidence, keys)
     assert colors == full_colors
     assert list(cells.items()) == [(c, sorted(m)) for c, m in full_cells.items()]
+    (old_colors, old_cells), old_trace = _lift_per_vertex(d._incidence, keys, label)
+    assert (colors, list(cells.items()), trace) == (old_colors, list(old_cells.items()), old_trace)
+    assert all(m == sorted(m) for m in cells.values())
+    shuffled = [m[:1] + m[:0:-1] for m in orbits]  # each led by its label, the rest reversed
+    assert engine._refine_orbits(d._incidence, keys, label, shuffled) == ((colors, cells), trace)
     assert len(trace) <= len(full_trace)
     reference = reference_refine(d, seed)
     classes = {frozenset(i for i, v in enumerate(d.vertices) if reference[v] == k)
@@ -1355,13 +1398,19 @@ def test_verify_makes_few_rows_and_builds_no_incidence(monkeypatch):
 def test_orbit_forest_is_flat():
     """The known maps' orbits in one labelling pass: each vertex labelled by
     the smallest vertex of its orbit, so every root is its own parent and
-    ``_find`` reads any label in one step; the second value counts them."""
+    ``_find`` reads any label in one step; the second value lists their
+    members, one list per orbit, as many as there are orbits.  The lists
+    partition the vertices, in the order of their labels, each starting at
+    its label, every member carrying it."""
     for maps, n in [([], 4), ([(1, 2, 0, 3, 4)], 5), ([(1, 0, 2, 3), (0, 2, 3, 1)], 4),
-                    ([(3, 4, 5, 0, 1, 2)], 6)]:
-        forest, trees = engine._orbit_forest(maps, n)
+                    ([(3, 4, 5, 0, 1, 2)], 6), ([(2, 3, 4, 0, 1, 5), (1, 0, 2, 3, 4, 5)], 6)]:
+        forest, orbits = engine._orbit_forest(maps, n)
         assert forest == _orbit_reps(maps, n)
-        assert trees == _orbit_count(maps, n)
+        assert len(orbits) == _orbit_count(maps, n)
         assert all(forest[r] == r for r in forest)
+        assert sorted(v for members in orbits for v in members) == list(range(n))
+        assert [members[0] for members in orbits] == sorted(set(forest))
+        assert all(forest[v] == members[0] for members in orbits for v in members)
 
 
 def _named_digraph(n: int, arcs):

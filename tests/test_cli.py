@@ -212,6 +212,20 @@ def test_verify_budget_exceeded(capsys):
     assert out.strip().splitlines()[-1] == "order(Aut) = 24 = |G| : PASS"
 
 
+def test_verify_names_the_generators(capsys):
+    """Groups of one order and generator count print one report but for
+    the line that names their generators, above the verdict lines."""
+    reports = {}
+    for spec in ("symmetric:4", "dihedral:24"):
+        code, out, _ = run(capsys, "verify", spec)
+        assert code == 0
+        reports[spec] = out.splitlines()
+    s4, d24 = reports["symmetric:4"], reports["dihedral:24"]
+    assert [i for i, (a, b) in enumerate(zip(s4, d24)) if a != b] == [3]
+    assert (s4[3], d24[3]) == ("generators: (0 1), (0 1 2 3)", "generators: t, s")
+    assert s4[1] == "points: 2352, covers: 12984" and s4[4].startswith("minimal")
+
+
 def test_verify_group_over_order_cap(capsys):
     code, _, err = run(capsys, "verify", "cyclic:100000")
     assert code == 2
@@ -388,12 +402,12 @@ STDOUT_SHA256 = {
     "build-fk 6 --format summary":
         "2cc14515c62fe1637ba6f7e1945c352661c2a36251085e7536856bd942af6cfc",
     "verify cyclic:12":
-        "eeec9ff279a6d30cf8a20f0cf5c746d2cfd9b39d73e01810cebdea335746fbbb",
-    # the benchmark's heaviest ops; S4 and D24 print the same report
+        "36ba9220ebdec2fabcc15f33f420ab11cf8098a244655c0cfde28decf13e3735",
+    # the benchmark's heaviest ops; S4 and D24 differ only in their generators' names
     "verify symmetric:4 --budget 2400":
-        "73ca9e28d6ebe194cab022387c6f719f865080b72edb58a220d3e7f80cfc42c8",
+        "9400fecf05abff9faae8d2a4755092f196e57c570510d62224b9b771c83c6ebd",
     "verify dihedral:24":
-        "73ca9e28d6ebe194cab022387c6f719f865080b72edb58a220d3e7f80cfc42c8",
+        "2d13c220d692c0680edb3f92550747cca397b2c957ffa2e2c8aead4fb78a5399",
     "build-space symmetric:5 --format json":
         "0ccdd8c26257b970c64fb9dd489822b7d97b10e1eb888e7dc3dc68902ca3572a",
     "family-check 4":
